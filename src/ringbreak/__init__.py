@@ -51,7 +51,6 @@ from .core import (
     SpecViolation,
     TopologyViolation,
     ValidationReport,
-    derive_coins,
     derive_seed,
     outcome_repr,
     validate_spec,
@@ -100,14 +99,11 @@ from .ring import (
     Partition,
     RingNetwork,
     VirtualRing,
-    attack_adversary,
     attack_n_party,
     attack_ring_size,
-    build_ring,
     embedding_family,
     emulate_ring,
     fuse_parties,
-    neighbor_embedding_adversary,
     node_view,
     partition_to_three,
     phase1_expected,

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Any, Optional
@@ -126,50 +127,35 @@ def _load_table(cfg: dict) -> FunctionTable:
 
 # ---------------------------------------------------------------- attack
 
-def _attack_chunk(task: tuple) -> dict:
+def _attack_chunk(task: tuple) -> dict[str, Counter]:
+    """Tallies of one trial range: totals (success, ran, aborts), y* values,
+    honest outcomes, and (party, outcome) pairs."""
     params, start, count = task
     spec = make_spec(params["protocol"], params["n"])
     corrupt = tuple(params["corrupt"])
-    agg: dict = {"success": 0, "ran": 0, "aborts": 0, "y_star": {},
-                 "outcomes": {}, "per_party": {}}
+    agg = {"totals": Counter(), "y_star": Counter(), "outcomes": Counter(),
+           "per_party": Counter()}
     for i in range(start, start + count):
         tseed = derive_seed(params["seed"], "attack-trial", i)
         atk = attack_n_party(spec, params["t"], corrupt, tseed,
                              variant=params["variant"],
                              q_expected=params["q_expected"], z=params["z"])
         if atk.phase1.aborted:
-            agg["aborts"] += 1
+            agg["totals"]["aborts"] += 1
             continue
         joint = JointInput.sample(spec, derive_seed(tseed, "inputs"))
         res = run_with_adversary(spec, atk.adversary, joint, derive_seed(tseed, "online"))
         y = atk.y_star
-        yh = y.hex()
-        agg["y_star"][yh] = agg["y_star"].get(yh, 0) + 1
-        agg["ran"] += 1
+        agg["y_star"][y.hex()] += 1
+        agg["totals"]["ran"] += 1
         outs = res.honest_outcomes()
         if all(o == y for o in outs):
-            agg["success"] += 1
+            agg["totals"]["success"] += 1
         for pid, out in zip(res.honest(), outs):
             rep = outcome_repr(out)
-            agg["outcomes"][rep] = agg["outcomes"].get(rep, 0) + 1
-            per = agg["per_party"].setdefault(str(pid), {})
-            per[rep] = per.get(rep, 0) + 1
+            agg["outcomes"][rep] += 1
+            agg["per_party"][(str(pid), rep)] += 1
     return agg
-
-
-def _merge_counts(dst: dict, src: dict) -> None:
-    for k, v in src.items():
-        if isinstance(v, dict):
-            inner = dst.setdefault(k, {})
-            for kk, vv in v.items():
-                if isinstance(vv, dict):
-                    deep = inner.setdefault(kk, {})
-                    for k3, v3 in vv.items():
-                        deep[k3] = deep.get(k3, 0) + v3
-                else:
-                    inner[kk] = inner.get(kk, 0) + vv
-        else:
-            dst[k] = dst.get(k, 0) + v
 
 
 def _pmap(fn, tasks: list, jobs: int) -> list:
@@ -202,10 +188,15 @@ def cmd_attack(cfg: dict, jobs: int = 1):
 
     chunk = max(1, math.ceil(trials / max(1, jobs * 4)))
     tasks = [(params, lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)]
-    agg: dict = {}
+    agg: defaultdict[str, Counter] = defaultdict(Counter)
     for part in _pmap(_attack_chunk, tasks, jobs):
-        _merge_counts(agg, part)
-    success, ran, aborts = agg.get("success", 0), agg.get("ran", 0), agg.get("aborts", 0)
+        for key, counts in part.items():
+            agg[key].update(counts)
+    success, ran, aborts = (agg["totals"][k] for k in ("success", "ran", "aborts"))
+    y_hist = agg["y_star"]
+    per_party: dict[str, dict[str, int]] = {}
+    for (pid, rep), count in agg["per_party"].items():
+        per_party.setdefault(pid, {})[rep] = count
 
     probe = attack_n_party(spec, t, tuple(corrupt), derive_seed(cfg["seed"], "attack-trial", 0),
                            variant=cfg["variant"], q_expected=cfg["q_expected"], z=cfg["z"])
@@ -241,12 +232,10 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         "bound": bound,
         "bound_holds": holds,
         "inconclusive": bound <= 0.0,
-        "y_star": max(agg.get("y_star", {"": 0}), key=lambda k: (agg["y_star"].get(k, 0), k))
-                  if agg.get("y_star") else None,
-        "y_star_histogram": dict(sorted(agg.get("y_star", {}).items())),
-        "outcome_histogram": dict(sorted(agg.get("outcomes", {}).items())),
-        "per_party_outputs": {k: dict(sorted(v.items()))
-                              for k, v in sorted(agg.get("per_party", {}).items())},
+        "y_star": max(y_hist, key=lambda k: (y_hist[k], k)) if y_hist else None,
+        "y_star_histogram": dict(sorted(y_hist.items())),
+        "outcome_histogram": dict(sorted(agg["outcomes"].items())),
+        "per_party_outputs": {k: dict(sorted(v.items())) for k, v in sorted(per_party.items())},
     }
     if cfg["variant"] == "expected":
         abort_rate = aborts / trials
@@ -256,7 +245,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
                      "abort_bound": abort_bound, "abort_ok": abort_rate <= abort_bound})
         if not body["abort_ok"]:
             code = EXIT_FAIL
-    csv_rows = ("outcome,count", [(k, v) for k, v in sorted(agg.get("outcomes", {}).items())])
+    csv_rows = ("outcome,count", sorted(agg["outcomes"].items()))
     return body, code, csv_rows
 
 
@@ -496,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", help="write the JSON report here (default stdout)")
         p.add_argument("--csv", help="write a CSV summary here")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for trial loops (default 1)")
+                       help="worker processes for the attack trial loop (default 1); "
+                            "the other subcommands run serially with identical reports")
 
     p = sub.add_parser("attack", help="run the ring attack and check the success bound")
     p.add_argument("--protocol", help=f"zoo selector, one of: {', '.join(sorted(ZOO))}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Optional, Sequence
 
-from .core import BOT, ConfigError, SpecViolation, derive_coins, derive_seed, outcome_repr
+from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, outcome_repr
 from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated, token_key
 
 
@@ -164,7 +164,7 @@ class HybridAdversary:
 
     def draw(self, seed: int) -> tuple[int, IdealDecision]:
         """Sample a branch; exact threshold comparison on a 64-bit uniform."""
-        u = Fraction(derive_coins(seed, b"hybrid-branch").u64(0), 2 ** 64)
+        u = Fraction(CoinStream(seed, b"hybrid-branch").u64(0), 2 ** 64)
         acc = Fraction(0)
         for idx, (w, decision) in enumerate(self.branches):
             acc += w

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -146,11 +146,6 @@ class CoinStream:
         return f"CoinStream(seed={self.seed:#x}, label={self.label!r})"
 
 
-def derive_coins(master_seed: int, label: bytes) -> CoinStream:
-    """The one blessed way to mint a party's coin stream."""
-    return CoinStream(master_seed, label)
-
-
 class PartyProgram:
     """Deterministic per-party state machine.
 
@@ -283,7 +278,7 @@ class JointEntry:
     coin_label: bytes
 
     def coins(self, master_seed: int) -> CoinStream:
-        return derive_coins(master_seed, self.coin_label)
+        return CoinStream(master_seed, self.coin_label)
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,7 @@ class JointInput:
     @staticmethod
     def sample(spec: ProtocolSpec, seed: int, label_prefix: bytes = b"p") -> "JointInput":
         """Inputs uniform over each party's declared domain; labels fixed."""
-        src = derive_coins(seed, b"input-sample")
+        src = CoinStream(seed, b"input-sample")
         entries = []
         for i in range(spec.n):
             entries.append(JointEntry(

@@ -12,20 +12,17 @@ before the adversary sees any honest round-r message.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .core import (
-    BOT,
     RUNNING,
-    CoinStream,
     JointEntry,
     JointInput,
+    PartyProgram,
     ProtocolSpec,
     SpecViolation,
     TopologyViolation,
-    derive_coins,
     derive_seed,
     outcome_repr,
 )
@@ -68,6 +65,37 @@ class Topology:
 
 # Transcript record: (round, sender, receiver, payload).
 TranscriptRecord = tuple[int, int, int, bytes]
+# One message of one round: (sender, receiver, payload).
+Send = tuple[int, int, bytes]
+
+
+def step_parties(programs: Sequence[PartyProgram] | dict[int, PartyProgram],
+                 states: dict[int, Any], live: Iterable[int], round_no: int,
+                 inboxes: dict[int, dict[int, bytes]]) -> list[Send]:
+    """The lockstep kernel: step every party in `live` once on its inbox.
+
+    `programs` and `states` are indexed by party id, and `states` is updated
+    in place. Callers pass the parties that have not halted (the contract
+    probe in `_execute` passes halted ones too). The round's sends come back
+    in `live` order, each party's in outbox order; that is the order
+    `deliver` fills the next round's inboxes in.
+    """
+    sends: list[Send] = []
+    for i in live:
+        states[i], outbox = programs[i].step(states[i], round_no, inboxes.get(i, {}))
+        for dst, payload in outbox.items():
+            sends.append((i, dst, payload))
+    return sends
+
+
+def deliver(sends: Iterable[Send],
+            inboxes: Optional[dict[int, dict[int, bytes]]] = None) -> dict[int, dict[int, bytes]]:
+    """Add each send to its receiver's inbox (a new set when none is given),
+    keyed by sender, in send order."""
+    inboxes = {} if inboxes is None else inboxes
+    for src, dst, payload in sends:
+        inboxes.setdefault(dst, {})[src] = payload
+    return inboxes
 
 
 @dataclass
@@ -81,8 +109,6 @@ class ExecutionResult:
     rounds: int                    # send-phase rounds executed
     transcript: Optional[list[TranscriptRecord]]
     pre_announced: Optional[bytes] = None
-    adversary_output: Optional[bytes] = None
-    adv_view_log: Optional[list[tuple[int, tuple]]] = None
     probe_violations: list[str] = field(default_factory=list)
 
     def honest(self) -> list[int]:
@@ -93,18 +119,13 @@ class ExecutionResult:
 
 
 class AdversaryContext:
-    """What the adversary legitimately starts with: aux input, corrupted
-    parties' inputs/coins, and its own seeded randomness."""
+    """What the adversary legitimately starts with: the corrupted parties'
+    inputs and coin labels, and the run's master seed."""
 
-    def __init__(self, aux: Any, entries: dict[int, JointEntry], seed: int, n: int):
-        self.aux = aux
+    def __init__(self, entries: dict[int, JointEntry], seed: int, n: int):
         self.entries = entries
         self.seed = seed
         self.n = n
-        self.coins = derive_coins(seed, b"adversary")
-
-    def derive(self, label: bytes) -> CoinStream:
-        return derive_coins(self.seed, label)
 
 
 class AdversaryStrategy:
@@ -131,9 +152,6 @@ class AdversaryStrategy:
              inbound: dict[tuple[int, int], bytes]) -> tuple[Any, dict[tuple[int, int], bytes]]:
         return state, {}
 
-    def final_output(self, state: Any) -> bytes:
-        return b""
-
 
 class PassiveAdversary(AdversaryStrategy):
     """Corrupted parties follow the protocol exactly; adversary only watches."""
@@ -143,26 +161,15 @@ class PassiveAdversary(AdversaryStrategy):
         self.corrupted = frozenset(corrupted)
 
     def init(self, ctx: AdversaryContext):
-        members = {}
-        for i in sorted(self.corrupted):
-            entry = ctx.entries[i]
-            prog = self.spec.programs[i]
-            members[i] = (prog, prog.init(entry.input, entry.coins(ctx.seed)))
-        return members
+        return {i: self.spec.programs[i].init(ctx.entries[i].input, ctx.entries[i].coins(ctx.seed))
+                for i in sorted(self.corrupted)}
 
-    def step(self, state, round_no, inbound):
-        outbound = {}
-        new_state = {}
-        for i, (prog, pstate) in state.items():
-            if prog.finished(pstate) is not None:
-                new_state[i] = (prog, pstate)
-                continue
-            inbox = {src: payload for (src, dst), payload in inbound.items() if dst == i}
-            pstate, outbox = prog.step(pstate, round_no, inbox)
-            new_state[i] = (prog, pstate)
-            for dst, payload in outbox.items():
-                outbound[(i, dst)] = payload
-        return new_state, outbound
+    def step(self, states, round_no, inbound):
+        programs = self.spec.programs
+        live = [i for i in states if programs[i].finished(states[i]) is None]
+        inboxes = deliver((src, dst, payload) for (src, dst), payload in inbound.items())
+        sends = step_parties(programs, states, live, round_no, inboxes)
+        return states, {(src, dst): payload for src, dst, payload in sends}
 
 
 class EquivocatorAdversary(AdversaryStrategy):
@@ -189,10 +196,10 @@ class EquivocatorAdversary(AdversaryStrategy):
 def _route_check(topology: Topology, src: int, dst: int, payload: bytes, cap: int) -> None:
     if dst == src or not topology.has_edge(src, dst):
         raise TopologyViolation(f"no edge {src}->{dst}")
-    if len(payload) > cap:
-        raise SpecViolation(f"message {src}->{dst} exceeds {cap} byte cap ({len(payload)})")
     if not isinstance(payload, bytes):
         raise SpecViolation(f"message {src}->{dst} is not bytes")
+    if len(payload) > cap:
+        raise SpecViolation(f"message {src}->{dst} exceeds {cap} byte cap ({len(payload)})")
 
 
 def _execute(
@@ -201,7 +208,6 @@ def _execute(
     seed: int,
     *,
     adversary: Optional[AdversaryStrategy] = None,
-    aux: Any = None,
     max_rounds: Optional[int] = None,
     topology: Optional[Topology] = None,
     record: bool = False,
@@ -239,9 +245,8 @@ def _execute(
 
     adv_state = None
     pre_announced = None
-    adv_view_log: Optional[list] = [] if (record and adversary is not None) else None
     if adversary is not None:
-        ctx = AdversaryContext(aux, {i: entries[i] for i in corrupted if i in entries}, seed, n)
+        ctx = AdversaryContext({i: entries[i] for i in corrupted if i in entries}, seed, n)
         adv_state = adversary.init(ctx)
         pre_announced = adversary.pre_announce(adv_state)
 
@@ -256,81 +261,63 @@ def _execute(
     # with probe_halted we run one round past the last halt so post-halt
     # sends and outcome drift have a chance to show up
     probe_rounds_left = 1 if probe_halted else 0
+    running = [i for i in honest_ids if outcomes[i] is None]
     while True:
-        if all(outcomes[i] is not None for i in honest_ids):
+        if not running:
             if probe_rounds_left <= 0:
                 break
             probe_rounds_left -= 1
         r += 1
         flush = r > max_rounds
-        sends: list[tuple[int, int, bytes]] = []
-
-        for i in honest_ids:
-            halted = outcomes[i] is not None
-            if halted and not probe_halted:
-                continue
-            inbox = pending.get(i, {})
-            state2, outbox = spec.programs[i].step(states[i], r, inbox)
-            if halted:
-                # contract probe only: nothing a halted party does is delivered
-                if outbox:
+        sends = step_parties(spec.programs, states, honest_ids if probe_halted else running,
+                             r, pending)
+        if probe_halted:
+            # contract probe only: nothing a halted party does is delivered
+            noisy = {src for src, _, _ in sends if outcomes[src] is not None}
+            sends = [send for send in sends if outcomes[send[0]] is None]
+            for i in honest_ids:
+                if outcomes[i] is None:
+                    continue
+                if i in noisy:
                     probe_violations.append(f"party {i} active after halt (round {r})")
-                fin = spec.programs[i].finished(state2)
-                if fin != outcomes[i]:
+                if spec.programs[i].finished(states[i]) != outcomes[i]:
                     probe_violations.append(f"party {i} outcome drift after halt (round {r})")
-                states[i] = state2
-                continue
-            states[i] = state2
-            for dst, payload in outbox.items():
-                _route_check(topo, i, dst, payload, message_cap)
-                sends.append((i, dst, payload))
+        for src, dst, payload in sends:
+            _route_check(topo, src, dst, payload, message_cap)
 
         if adversary is not None:
-            inbound = dict(adv_pending)
-            if adv_view_log is not None:
-                adv_view_log.append(
-                    (r, tuple(sorted((s, d, p) for (s, d), p in inbound.items())))
-                )
-            adv_state, outbound = adversary.step(adv_state, r, inbound)
+            adv_state, outbound = adversary.step(adv_state, r, adv_pending)
             for (src, dst), payload in outbound.items():
                 if src not in corrupted:
                     raise TopologyViolation(f"adversary sent from honest party {src}")
                 _route_check(topo, src, dst, payload, message_cap)
                 sends.append((src, dst, payload))
 
-        for i in honest_ids:
-            if outcomes[i] is None:
-                fin = spec.programs[i].finished(states[i])
-                if fin is not None:
-                    outcomes[i] = fin
-                    halt_rounds[i] = min(r, max_rounds)
+        for i in running:
+            fin = spec.programs[i].finished(states[i])
+            if fin is not None:
+                outcomes[i] = fin
+                halt_rounds[i] = min(r, max_rounds)
+        running = [i for i in running if outcomes[i] is None]
 
-        if strict_q is not None and r >= strict_q + 1:
-            laggards = [i for i in honest_ids if outcomes[i] is None]
-            if laggards:
-                raise SpecViolation(
-                    f"{spec.name}: parties {laggards} unfinished at declared round bound {strict_q}"
-                )
+        if strict_q is not None and r >= strict_q + 1 and running:
+            raise SpecViolation(
+                f"{spec.name}: parties {running} unfinished at declared round bound {strict_q}"
+            )
 
         if flush:
             break
         rounds_executed = r
 
-        pending = {}
-        adv_pending = {}
-        for src, dst, payload in sends:
-            if transcript is not None:
-                transcript.append((r, src, dst, payload))
-            if dst in corrupted:
-                adv_pending[(src, dst)] = payload
-            else:
-                pending.setdefault(dst, {})[src] = payload
+        if transcript is not None:
+            transcript.extend((r, src, dst, payload) for src, dst, payload in sends)
+        # inboxes of corrupted parties are never stepped; the adversary gets them by edge
+        pending = deliver(sends)
+        adv_pending = {(src, dst): payload for src, dst, payload in sends if dst in corrupted}
 
-    for i in honest_ids:
-        if outcomes[i] is None:
-            outcomes[i] = RUNNING
+    for i in running:
+        outcomes[i] = RUNNING
 
-    adv_output = adversary.final_output(adv_state) if adversary is not None else None
     return ExecutionResult(
         n=n,
         corrupted=corrupted,
@@ -339,8 +326,6 @@ def _execute(
         rounds=rounds_executed,
         transcript=transcript,
         pre_announced=pre_announced,
-        adversary_output=adv_output,
-        adv_view_log=adv_view_log,
         probe_violations=probe_violations,
     )
 
@@ -361,7 +346,7 @@ def run_honest(spec: ProtocolSpec, joint: JointInput, seed: int, *,
 
 def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
                        joint: JointInput | dict[int, JointEntry], seed: int, *,
-                       aux: Any = None, max_rounds: Optional[int] = None,
+                       max_rounds: Optional[int] = None,
                        topology: Optional[Topology] = None, record: bool = False,
                        enforce_round_bound: bool = True,
                        message_cap: int = DEFAULT_MESSAGE_CAP) -> ExecutionResult:
@@ -372,14 +357,15 @@ def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
     to corrupted parties.
     """
     return _execute(
-        spec, joint, seed, adversary=adversary, aux=aux, max_rounds=max_rounds,
+        spec, joint, seed, adversary=adversary, max_rounds=max_rounds,
         topology=topology, record=record, enforce_round_bound=enforce_round_bound,
         message_cap=message_cap,
     )
 
 
 def check_consistency(result: ExecutionResult) -> bool:
-    """True iff all honest outcomes are equal (BOT counts as a value).
+    """True iff all honest outcomes are equal (BOT counts as a value); with
+    no honest party that holds vacuously.
 
     Raises if any honest party is still RUNNING: consistency of a cut-off
     execution is undefined.
@@ -387,8 +373,7 @@ def check_consistency(result: ExecutionResult) -> bool:
     outs = result.honest_outcomes()
     if any(o is RUNNING for o in outs):
         raise ValueError("consistency undefined: honest party still RUNNING")
-    first = outs[0]
-    return all(o == first for o in outs[1:])
+    return all(o == outs[0] for o in outs[1:])
 
 
 @dataclass
@@ -461,14 +446,3 @@ def result_fingerprint(result: ExecutionResult) -> str:
         for rec in result.transcript:
             h.update(b"#%d:%d>%d:" % rec[:3] + rec[3])
     return h.hexdigest()
-
-
-def transcript_to_jsonl(records: Sequence[TranscriptRecord]) -> str:
-    """One JSON object per (round, edge) with hex payload; stable field order."""
-    lines = []
-    for rnd, src, dst, payload in records:
-        lines.append(json.dumps(
-            {"round": rnd, "from": src, "to": dst, "payload": payload.hex()},
-            sort_keys=False, separators=(",", ":"),
-        ))
-    return "\n".join(lines) + ("\n" if lines else "")

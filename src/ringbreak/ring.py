@@ -18,29 +18,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
-    BOT,
     RUNNING,
+    CoinStream,
     ConfigError,
     FusedInput,
     JointEntry,
     JointInput,
     PartyProgram,
     ProtocolSpec,
-    RoundBound,
     SpecViolation,
     TopologyViolation,
-    derive_coins,
     derive_seed,
+    outcome_repr,
 )
 from .netsim import (
     AdversaryContext,
     AdversaryStrategy,
     ExecutionResult,
+    Send,
     Topology,
+    deliver,
     run_honest,
+    step_parties,
 )
 
 # Ring slots the real honest parties can occupy, over all corruption choices.
@@ -152,16 +154,12 @@ class RingNetwork:
         ))
 
     def sample_w(self, seed: int, label_prefix: bytes = b"ring") -> JointInput:
-        src = derive_coins(seed, b"ring-input-sample")
+        src = CoinStream(seed, b"ring-input-sample")
         return JointInput(tuple(
             JointEntry(self.spec3.domains[s % 3].sample(src, offset=128 * s),
                        label_prefix + b"/%d" % s)
             for s in range(self.size)
         ))
-
-
-def build_ring(spec3: ProtocolSpec, m: int) -> RingNetwork:
-    return RingNetwork(spec3, m)
 
 
 def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *,
@@ -183,18 +181,13 @@ def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *
     )
 
 
-def node_records(result: ExecutionResult, node: int) -> list:
-    """Transcript records incident to one node (its local traffic view)."""
+def node_view(result: ExecutionResult, node: int) -> bytes:
+    """Canonical bytes of a node's local traffic (the transcript records
+    incident to it) plus its outcome."""
     if result.transcript is None:
         raise ValueError("run was not recorded")
-    return [rec for rec in result.transcript if rec[1] == node or rec[2] == node]
-
-
-def node_view(result: ExecutionResult, node: int) -> bytes:
-    """Canonical bytes of a node's local traffic plus its outcome."""
-    from .core import outcome_repr
-
-    lines = [b"%d|%d|%d|" % rec[:3] + rec[3].hex().encode() for rec in node_records(result, node)]
+    lines = [b"%d|%d|%d|" % rec[:3] + rec[3].hex().encode()
+             for rec in result.transcript if rec[1] == node or rec[2] == node]
     lines.append(b"out|" + outcome_repr(result.outcomes[node]).encode())
     return b"\n".join(lines)
 
@@ -253,7 +246,7 @@ def phase1_strict(spec3: ProtocolSpec, seed: int, q: Optional[int] = None) -> At
         raise ConfigError("phase 1 runs on a 3-party protocol")
     q = q if q is not None else spec3.q
     m = attack_ring_size(q, "strict")
-    ring = build_ring(spec3, m)
+    ring = RingNetwork(spec3, m)
     pstar, dist = _best_far_slot(ring.size)
     exec_seed = derive_seed(seed, "phase1", 1)
     w = ring.zeros_w()
@@ -281,7 +274,7 @@ def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> 
     if z < 1:
         raise ConfigError("need z >= 1 iterations")
     m = attack_ring_size(q_expected, "expected")
-    ring = build_ring(spec3, m)
+    ring = RingNetwork(spec3, m)
     pstar, dist = _best_far_slot(ring.size)
     w = ring.zeros_w()
     last_seed = None
@@ -327,8 +320,8 @@ class VirtualRing:
     """Adversary-internal emulation of the ring minus the real parties' slots.
 
     Stepped once per real round, in lockstep. Messages from the real parties
-    are fed in as if sent by their slots; messages virtual slots address to
-    those slots are returned for the adversary to deliver over real channels.
+    are fed in as sends from their slots; sends virtual slots address to those
+    slots are returned for the adversary to deliver over real channels.
     """
 
     def __init__(self, ring: RingNetwork, entries: dict[int, JointEntry], seed: int,
@@ -337,48 +330,24 @@ class VirtualRing:
         self.external = external  # slot -> real party id
         self.round_cap = round_cap
         self.truncated = False
-        self.programs: dict[int, RingSlotProgram] = {}
-        self.states: dict[int, Any] = {}
-        self.done: dict[int, bool] = {}
-        self.halt_rounds: dict[int, int] = {}
+        self.programs = {s: ring.slot_program(s) for s in range(ring.size) if s not in external}
+        self.states = {s: prog.init(entries[s].input, entries[s].coins(seed))
+                       for s, prog in self.programs.items()}
+        self.live = [s for s, prog in self.programs.items()
+                     if prog.finished(self.states[s]) is None]
         self.pending: dict[int, dict[int, bytes]] = {}
-        for s in range(ring.size):
-            if s in external:
-                continue
-            prog = ring.slot_program(s)
-            st = prog.init(entries[s].input, entries[s].coins(seed))
-            self.programs[s] = prog
-            self.states[s] = st
-            if prog.finished(st) is not None:
-                self.done[s] = True
-                self.halt_rounds[s] = 0
-            else:
-                self.done[s] = False
 
-    def step(self, round_no: int, fed: Sequence[tuple[int, int, bytes]]) -> list[tuple[int, int, bytes]]:
-        for vslot, from_slot, payload in fed:
-            self.pending.setdefault(vslot, {})[from_slot] = payload
+    def step(self, round_no: int, fed: Sequence[Send]) -> list[Send]:
+        deliver(fed, self.pending)
         if self.round_cap is not None and round_no > self.round_cap:
             self.truncated = True
             self.pending = {}
             return []
-        boundary: list[tuple[int, int, bytes]] = []
-        next_pending: dict[int, dict[int, bytes]] = {}
-        for s, prog in self.programs.items():
-            if self.done[s]:
-                continue
-            st, outbox = prog.step(self.states[s], round_no, self.pending.get(s, {}))
-            self.states[s] = st
-            if prog.finished(st) is not None:
-                self.done[s] = True
-                self.halt_rounds[s] = round_no
-            for dst, payload in outbox.items():
-                if dst in self.external:
-                    boundary.append((s, dst, payload))
-                else:
-                    next_pending.setdefault(dst, {})[s] = payload
-        self.pending = next_pending
-        return boundary
+        programs, states = self.programs, self.states
+        sends = step_parties(programs, states, self.live, round_no, self.pending)
+        self.live = [s for s in self.live if programs[s].finished(states[s]) is None]
+        self.pending = deliver(sends)  # external slots are never stepped here
+        return [send for send in sends if send[1] in self.external]
 
 
 class NeighborEmbeddingAdversary(AdversaryStrategy):
@@ -398,7 +367,7 @@ class NeighborEmbeddingAdversary(AdversaryStrategy):
         self.spec3 = spec3
         self.m = m
         self.j = j
-        self.ring = build_ring(spec3, m)
+        self.ring = RingNetwork(spec3, m)
         self.corrupted = frozenset({2})
         e_a = self.ring.slot_of(0, j)
         e_b = self.ring.slot_of(1, j)
@@ -423,21 +392,12 @@ class NeighborEmbeddingAdversary(AdversaryStrategy):
         return VirtualRing(self.ring, entries, seed, dict(self.external))
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
-        fed = []
-        for (src, dst), payload in inbound.items():
-            slot = self.ring.slot_of(src, self.j)  # src is 0 or 1, its role == its id
-            fed.append((self.in_bridge[src], slot, payload))
+        # src is 0 or 1, so its role is its id
+        fed = [(self.ring.slot_of(src, self.j), self.in_bridge[src], payload)
+               for (src, dst), payload in inbound.items()]
         boundary = vring.step(round_no, fed)
-        out = {}
-        for vslot, ext_slot, payload in boundary:
-            out[(2, self.external[ext_slot])] = payload
-        return vring, out
-
-
-def neighbor_embedding_adversary(spec3: ProtocolSpec, m: int, j: int,
-                                 fixed_w: Optional[JointInput] = None,
-                                 fixed_seed: Optional[int] = None) -> NeighborEmbeddingAdversary:
-    return NeighborEmbeddingAdversary(spec3, m, j, fixed_w, fixed_seed)
+        return vring, {(2, self.external[ext_slot]): payload
+                       for vslot, ext_slot, payload in boundary}
 
 
 def embedding_family(spec3: ProtocolSpec, m: int) -> list[NeighborEmbeddingAdversary]:
@@ -463,7 +423,7 @@ class AttackAdversary(AdversaryStrategy):
         self.spec3 = spec3
         self.phase1 = phase1
         self.corrupted = frozenset(corrupted)
-        self.ring = phase1.ring or build_ring(spec3, phase1.m)
+        self.ring = phase1.ring or RingNetwork(spec3, phase1.m)
         self.mapping = honest_slot_map(self.corrupted)  # honest party -> slot
         self.external = {slot: h for h, slot in self.mapping.items()}
         if virtual_round_cap is None and phase1.variant == "expected":
@@ -495,22 +455,12 @@ class AttackAdversary(AdversaryStrategy):
         return self.phase1.y_star
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
-        fed = []
-        for (src, dst), payload in inbound.items():
-            vslot = self.in_bridge.get((src, dst))
-            if vslot is None:
-                continue  # traffic between corrupted parties; nothing to simulate
-            fed.append((vslot, self.mapping[src], payload))
+        # traffic between corrupted parties has no bridge; nothing to simulate
+        fed = [(self.mapping[src], self.in_bridge[(src, dst)], payload)
+               for (src, dst), payload in inbound.items() if (src, dst) in self.in_bridge]
         boundary = vring.step(round_no, fed)
-        out = {}
-        for vslot, ext_slot, payload in boundary:
-            out[(vslot % 3, self.external[ext_slot])] = payload
-        return vring, out
-
-
-def attack_adversary(spec3: ProtocolSpec, phase1: AttackPhase1Result,
-                     corrupted: frozenset[int]) -> AttackAdversary:
-    return AttackAdversary(spec3, phase1, corrupted)
+        return vring, {(vslot % 3, self.external[ext_slot]): payload
+                       for vslot, ext_slot, payload in boundary}
 
 
 def _bundle(triples: Sequence[tuple[int, int, bytes]]) -> bytes:
@@ -590,33 +540,22 @@ class FusedProgram(PartyProgram):
         return (tuple(states), ())
 
     def step(self, state, round_no, inbox):
+        programs = self.spec.programs
         member_states = dict(state[0])
-        boxes: dict[int, dict[int, bytes]] = {p: {} for p in self.members}
-        for src, dst, payload in state[1]:
-            boxes[dst][src] = payload
+        boxes = deliver(state[1])
         for packed in inbox.values():
-            for src, dst, payload in _unbundle(packed):
-                if dst in boxes:
-                    boxes[dst][src] = payload
-        internal_next: list[tuple[int, int, bytes]] = []
-        outward: dict[int, list[tuple[int, int, bytes]]] = {}
-        new_states = []
-        for p in self.members:
-            prog = self.spec.programs[p]
-            st = member_states[p]
-            if prog.finished(st) is not None:
-                new_states.append((p, st))
-                continue
-            st, outbox = prog.step(st, round_no, boxes[p])
-            new_states.append((p, st))
-            for dst, payload in outbox.items():
-                g = self.group_of[dst]
-                if g == self.gid:
-                    internal_next.append((p, dst, payload))
-                else:
-                    outward.setdefault(g, []).append((p, dst, payload))
+            deliver(_unbundle(packed), boxes)
+        live = [p for p in self.members if programs[p].finished(member_states[p]) is None]
+        internal_next: list[Send] = []
+        outward: dict[int, list[Send]] = {}
+        for send in step_parties(programs, member_states, live, round_no, boxes):
+            g = self.group_of[send[1]]
+            if g == self.gid:
+                internal_next.append(send)
+            else:
+                outward.setdefault(g, []).append(send)
         sends = {g: _bundle(triples) for g, triples in outward.items()}
-        return (tuple(new_states), tuple(sorted(internal_next))), sends
+        return (tuple(member_states.items()), tuple(sorted(internal_next))), sends
 
     def finished(self, state):
         outs = []
@@ -664,7 +603,7 @@ class UnfusedAttackAdversary(AdversaryStrategy):
         return f"nparty-attack[I={sorted(self.corrupted)}]"
 
     def init(self, ctx: AdversaryContext):
-        return self.inner.init(AdversaryContext(ctx.aux, {}, ctx.seed, 3))
+        return self.inner.init(AdversaryContext({}, ctx.seed, 3))
 
     def pre_announce(self, state) -> Optional[bytes]:
         return self.inner.pre_announce(state)
@@ -683,9 +622,6 @@ class UnfusedAttackAdversary(AdversaryStrategy):
             for src, dst, payload in _unbundle(packed):
                 out[(src, dst)] = payload
         return state, out
-
-    def final_output(self, state) -> bytes:
-        return self.inner.final_output(state)
 
 
 @dataclass

@@ -30,6 +30,11 @@ def proportion_sigma(successes: int, trials: int) -> float:
 
 
 def statistical_distance(p: dict, q: dict) -> float:
-    """Total variation distance between two distributions given as dicts."""
+    """Total variation distance between two distributions given as dicts.
+
+    `fsum` is exact, so the result does not depend on the order of `keys`:
+    a set's order follows the per-process string hash seed, and a plain
+    float sum's last bit with it, which made reports differ between runs.
+    """
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)
+    return 0.5 * math.fsum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)

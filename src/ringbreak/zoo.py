@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (
     BitInput,
-    CoinStream,
     ConfigError,
-    InputDomain,
     PartyProgram,
     ProtocolSpec,
     RawInput,
@@ -65,22 +63,18 @@ class ExchangeProgram(PartyProgram):
     def init(self, input_bytes, coins):
         return ("init", _bit(input_bytes))
 
-    def _mybit(self, state) -> int:
-        return state[1]
-
     def step(self, state, round_no, inbox):
         phase, bit = state[0], state[1]
         if phase == "init":
             payload = bytes([bit])
             return ("sent", bit), {j: payload for j in range(self.n) if j != self.me}
         if phase == "sent":
-            bits = [bit] + [v[0] & 1 for v in inbox.values()]
             if self.op == "xor":
-                out = 0
-                for b in bits:
-                    out ^= b
+                out = bit
+                for v in inbox.values():
+                    out ^= v[0] & 1
             else:
-                out = 1 if any(bits) else 0
+                out = 1 if bit or any(v[0] & 1 for v in inbox.values()) else 0
             return ("done", bit, out), {}
         return state, {}
 
@@ -88,32 +82,13 @@ class ExchangeProgram(PartyProgram):
         return bytes([state[2]]) if state[0] == "done" else None
 
 
-class FairCoinProgram(PartyProgram):
+class FairCoinProgram(ExchangeProgram):
     """xor_exchange over fresh coin bits instead of inputs."""
 
     role_id = "coin"
 
-    def __init__(self, n: int, me: int):
-        self.n = n
-        self.me = me
-
     def init(self, input_bytes, coins):
         return ("init", coins.bit(0))
-
-    def step(self, state, round_no, inbox):
-        phase, bit = state[0], state[1]
-        if phase == "init":
-            payload = bytes([bit])
-            return ("sent", bit), {j: payload for j in range(self.n) if j != self.me}
-        if phase == "sent":
-            out = bit
-            for v in inbox.values():
-                out ^= v[0] & 1
-            return ("done", bit, out), {}
-        return state, {}
-
-    def finished(self, state):
-        return bytes([state[2]]) if state[0] == "done" else None
 
 
 class EchoXorProgram(PartyProgram):
@@ -308,7 +283,7 @@ def make_echo_xor(n: int, echoes: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSp
 def make_fair_coin(n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
     return ProtocolSpec(
         name="fair_coin",
-        programs=tuple(FairCoinProgram(n, i) for i in range(n)),
+        programs=tuple(FairCoinProgram(n, i, "xor") for i in range(n)),
         round_bound=RoundBound("strict", 1),
         domains=tuple(RawInput(kappa) for _ in range(n)),
     )

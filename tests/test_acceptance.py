@@ -38,10 +38,10 @@ from ringbreak.dominance import (
 )
 from ringbreak.netsim import run_with_adversary
 from ringbreak.ring import (
+    RingNetwork,
     _best_far_slot,
     attack_n_party,
     attack_ring_size,
-    build_ring,
     embedding_family,
     emulate_ring,
     node_view,
@@ -66,7 +66,7 @@ def test_c01_ring_locality_is_exact():
     spec = make_spec("echo_xor:2", 3)
     assert spec.q == 3
     m = 4
-    ring = build_ring(spec, m)
+    ring = RingNetwork(spec, m)
     pstar, _ = _best_far_slot(ring.size)
     mutants = [v for v in range(ring.size)
                if ring_distance(ring.size, pstar, v) > m]

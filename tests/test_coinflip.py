@@ -1,5 +1,9 @@
 """Coin-flip bias measurement, the forcing search, and the distance verdict."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ringbreak.coinflip import (
@@ -11,6 +15,24 @@ from ringbreak.coinflip import (
 from ringbreak.core import ConfigError
 from ringbreak.ring import attack_ring_size
 from ringbreak.zoo import make_spec
+
+
+class TestStatisticalDistance:
+    # 0.1 + 0.2 + 0.3 rounds to 0.6 or 0.6000000000000001 depending on the
+    # order it is summed in; the exact sum is the former
+    PARTS = {"0": 0.1, "1": 0.2, "other": 0.3}
+
+    def test_same_under_every_hash_seed(self):
+        # a set's iteration order follows PYTHONHASHSEED; reports must not
+        code = ("from ringbreak.stats import statistical_distance as d; "
+                f"print(repr(d({self.PARTS!r}, {{}})))")
+        seen = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=60)
+            seen.add(out.stdout.strip())
+        assert seen == {"0.3"}
 
 
 class TestMeasureBias:

@@ -17,7 +17,6 @@ from ringbreak.core import (
     RUNNING,
     RawInput,
     RoundBound,
-    derive_coins,
     derive_seed,
     outcome_repr,
     validate_spec,
@@ -112,25 +111,25 @@ class TestDomains:
     def test_bit_input(self):
         d = BitInput(4)
         assert d.zero() == b"\x00\x00\x00\x00"
-        s = derive_coins(1, b"d")
+        s = CoinStream(1, b"d")
         v = d.sample(s)
         assert len(v) == 4 and v[0] in (0, 1) and v[1:] == b"\x00\x00\x00"
 
     def test_raw_input(self):
         d = RawInput(8)
         assert d.zero() == bytes(8)
-        assert d.sample(derive_coins(2, b"d"), offset=5) == derive_coins(2, b"d").read(5, 8)
+        assert d.sample(CoinStream(2, b"d"), offset=5) == CoinStream(2, b"d").read(5, 8)
 
     def test_fused_input(self):
         d = FusedInput((BitInput(1), RawInput(3)))
         assert d.length == 4
         assert d.zero() == bytes(4)
-        v = d.sample(derive_coins(3, b"f"))
+        v = d.sample(CoinStream(3, b"f"))
         assert len(v) == 4
 
     def test_bit_sample_unbiased_smoke(self):
         d = BitInput(1)
-        s = derive_coins(17, b"bits")
+        s = CoinStream(17, b"bits")
         ones = sum(d.sample(s, offset=i)[0] for i in range(2000))
         assert 850 < ones < 1150
 
@@ -159,7 +158,7 @@ class TestJointInput:
 
     def test_entry_coins_derive(self):
         e = JointEntry(b"", b"lbl")
-        assert e.coins(4).read(0, 8) == derive_coins(4, b"lbl").read(0, 8)
+        assert e.coins(4).read(0, 8) == CoinStream(4, b"lbl").read(0, 8)
 
 
 class _OutcomeDrifter(PartyProgram):

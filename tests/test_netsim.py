@@ -96,6 +96,26 @@ class _Laggard(PartyProgram):
         return b"\x00" if state >= self.rounds else None
 
 
+class _IntSender(PartyProgram):
+    """Puts an int, not bytes, in its round-1 outbox."""
+
+    role_id = "int-sender"
+
+    def __init__(self, me):
+        self.me = me
+
+    def init(self, input_bytes, coins):
+        return 0
+
+    def step(self, state, round_no, inbox):
+        if state >= 1:
+            return state, {}
+        return 1, {1 - self.me: 7}
+
+    def finished(self, state):
+        return b"\x00" if state >= 1 else None
+
+
 class TestStrictEnforcement:
     def _spec(self, declared_q, actual_calls):
         return ProtocolSpec(
@@ -145,6 +165,16 @@ class TestTopology:
         spec = make_xor_exchange(3)
         with pytest.raises(SpecViolation):
             run_honest(spec, bits_joint(spec, (1, 0, 0)), 1, message_cap=0)
+
+    def test_non_bytes_payload_is_a_spec_violation(self):
+        spec = ProtocolSpec(
+            name="int-sender",
+            programs=(_IntSender(0), _IntSender(1)),
+            round_bound=RoundBound("strict", 1),
+            domains=(RawInput(1), RawInput(1)),
+        )
+        with pytest.raises(SpecViolation, match="not bytes"):
+            run_honest(spec, JointInput.zeros(spec), 1)
 
 
 class TestAdversaryPlumbing:
@@ -227,6 +257,13 @@ class TestConsistency:
                          enforce_round_bound=False)
         with pytest.raises(ValueError):
             check_consistency(res)
+
+    def test_check_consistency_holds_with_no_honest_party(self):
+        spec = make_xor_exchange(3)
+        res = run_with_adversary(spec, PassiveAdversary(spec, frozenset({0, 1, 2})),
+                                 bits_joint(spec, (1, 0, 1)), 1)
+        assert res.honest_outcomes() == []
+        assert check_consistency(res)
 
     def test_estimate_needs_trials(self):
         spec = make_spec("const:0", 3)

@@ -1,0 +1,59 @@
+"""Pinned report bytes: refactors of the engine must not move a single byte.
+
+Each row is one experiment config and the sha256 of its rendered report.
+The first attack, the const:1 coinflip attack and the xor_exchange
+consistency rows are the configs of acceptance criterion c10; the rest cover
+every subcommand, fused groups of three (or_exchange at n=9, t=3) and the
+expected-round attack variant. A changed digest means the reports changed:
+that has to be a deliberate, documented decision, never a side effect.
+"""
+
+import hashlib
+
+import pytest
+
+from ringbreak.cli import run_config
+from ringbreak.reports import render_report
+
+PINNED = [
+    ("attack", {"protocol": "echo_xor:2", "n": 3, "t": 1, "trials": 60, "seed": 5,
+                "delta_trials": 100},
+     "ce99c41ea8fcd82618cfcfb28517598b927fc48c723c4ee6e5bf0ab8a3447b63"),
+    ("attack", {"protocol": "or_exchange", "n": 9, "t": 3, "trials": 20, "seed": 3,
+                "delta_trials": 100},
+     "0d9f199190cf01d6917640aa9fb938d512908fcae0482a0240872e8414f694ea"),
+    ("attack", {"protocol": "geom_halt:0.25", "n": 3, "t": 1, "variant": "expected",
+                "z": 8, "trials": 20, "seed": 4, "delta_trials": 100},
+     "45f95c7c8f5e69320072522170a9a2e458c8555d9c4b28df884a85129663f19e"),
+    ("dominance", {"builtin": "thresh:2:4", "t": 2, "collapse_m": 1},
+     "2980bcf8d76b4ed26521e3ce80872ba8b2fd5c0410d69ec6e3b17cddf3e696a2"),
+    ("coinflip", {"protocol": "const:1", "mode": "attack", "trials": 1000, "seed": 6},
+     "9df9f8ccddbf299d16144d0ea73f4901387d54c89e0045fb9a0e40510957e6e3"),
+    ("coinflip", {"protocol": "fair_coin", "mode": "verify", "kappa": 4, "trials": 1000,
+                  "delta_trials": 100, "seed": 8},
+     "c2343624b2514102cf958a689823819229b53289bfd8fca77271f9d844deddcd"),
+    # distance_ci[1] is the exactly rounded 0.045784249020781466; before
+    # statistical_distance used fsum it also read ...46 under some hash seeds
+    ("coinflip", {"protocol": "fair_coin", "mode": "honest", "trials": 1000, "seed": 12},
+     "d1b6c8c4d8289f1be921aa4ef0bad90710656c04a03d0895b12e39fd98b01114"),
+    ("compile", {"builtin": "thresh:2:6", "t": 2, "adv": "coin:1/2", "mc_trials": 200,
+                 "seed": 9},
+     "e42af3fbc20cbc8e9eb6de33f095bc02adc288e7ae5bed4b17130f49bfbf2cb8"),
+    ("consistency", {"protocol": "xor_exchange", "trials": 120, "seed": 7},
+     "4d1460da073a1fea309b94737578c9f6f1ea26ad5d9dd7f629b26a30ecc66da8"),
+    ("consistency", {"protocol": "echo_xor:2", "trials": 100, "seed": 11},
+     "55ce8fdc69e2a8c7660bbf1b7b3cb0ac2392a3b413a33fb27d265d8f511e3fda"),
+    ("validate", {"protocol": "echo_xor:2", "trials": 5, "seed": 2},
+     "ed35587e0e6ba7c90eadb70c0435d3a4777aa328b70fa9ef95521c866842450b"),
+    ("validate", {"protocol": "fair_coin", "trials": 10, "seed": 2},
+     "f39c5ee6c9667db30cc3218f8b27a6afc60612ecdf5230c980a2ff2dfb435c38"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,cfg,digest", PINNED,
+    ids=[f"{kind}-{cfg.get('protocol') or cfg.get('builtin')}-{cfg.get('seed', 0)}"
+         for kind, cfg, _ in PINNED])
+def test_report_bytes_pinned(kind, cfg, digest):
+    report, _code, _csv = run_config(kind, dict(cfg))
+    assert hashlib.sha256(render_report(report)).hexdigest() == digest

@@ -3,11 +3,11 @@
 import pytest
 
 from ringbreak.core import (
+    CoinStream,
     ConfigError,
     JointEntry,
     JointInput,
     RUNNING,
-    derive_coins,
     derive_seed,
 )
 from ringbreak.netsim import run_honest, run_with_adversary
@@ -20,10 +20,8 @@ from ringbreak.ring import (
     _best_far_slot,
     _bundle,
     _unbundle,
-    attack_adversary,
     attack_n_party,
     attack_ring_size,
-    build_ring,
     embedding_family,
     emulate_ring,
     fuse_parties,
@@ -62,7 +60,7 @@ def ring_bits_w(ring, bits):
 
 class TestGeometry:
     def test_slot_layout_m2(self):
-        ring = build_ring(make_xor_exchange(3), 2)
+        ring = RingNetwork(make_xor_exchange(3), 2)
         assert ring.size == 6
         assert [ring.role_of(s) for s in range(6)] == [0, 1, 2, 0, 1, 2]
         assert [ring.copy_of(s) for s in range(6)] == [1, 1, 1, 2, 2, 2]
@@ -75,7 +73,7 @@ class TestGeometry:
 
     def test_same_role_copies_distance(self):
         # copies of the same role sit 3 hops per copy apart, shorter way round wins
-        ring = build_ring(make_xor_exchange(3), 10)
+        ring = RingNetwork(make_xor_exchange(3), 10)
         a1 = ring.slot_of(0, 1)
         assert ring.distance(a1, ring.slot_of(0, 6)) == 15
         assert ring.distance(a1, ring.slot_of(0, 5)) == 12
@@ -96,16 +94,16 @@ class TestGeometry:
 
     def test_needs_two_copies(self):
         with pytest.raises(ConfigError):
-            build_ring(make_xor_exchange(3), 1)
+            RingNetwork(make_xor_exchange(3), 1)
         with pytest.raises(ConfigError):
-            build_ring(make_xor_exchange(4), 2)
+            RingNetwork(make_xor_exchange(4), 2)
 
 
 class TestRingEmulation:
     def test_slots_run_one_clean_exchange(self):
         # on the ring each slot XORs its own bit with its two neighbors' bits
         spec = make_xor_exchange(3)
-        ring = build_ring(spec, 2)
+        ring = RingNetwork(spec, 2)
         bits = [1, 0, 0, 1, 1, 0]
         res = emulate_ring(ring, ring_bits_w(ring, bits), rounds_cap=2, seed=1)
         for s in range(6):
@@ -114,14 +112,14 @@ class TestRingEmulation:
 
     def test_cap_leaves_far_slots_running(self):
         spec = make_echo_xor(3, 2)
-        ring = build_ring(spec, 4)
+        ring = RingNetwork(spec, 4)
         res = emulate_ring(ring, ring.zeros_w(), rounds_cap=1, seed=1)
         assert all(o is RUNNING for o in res.outcomes)
 
     def test_locality_mutation_beyond_horizon_is_invisible(self):
         # a run capped at r rounds cannot see changes farther than r hops away
         spec = make_echo_xor(3, 2)
-        ring = build_ring(spec, 4)
+        ring = RingNetwork(spec, 4)
         w = ring.zeros_w()
         cap = 3
         probe, far = 0, 6  # distance 6 > cap
@@ -133,7 +131,7 @@ class TestRingEmulation:
 
     def test_locality_mutation_within_horizon_is_visible(self):
         spec = make_echo_xor(3, 2)
-        ring = build_ring(spec, 4)
+        ring = RingNetwork(spec, 4)
         w = ring.zeros_w()
         near = 1  # adjacent to the probe, well inside the horizon
         base = emulate_ring(ring, w, 3, seed=9, record=True)
@@ -156,7 +154,7 @@ class TestPhase1:
         # from the phase-1 seed and P*'s ring coin label alone
         spec = make_coin_flash(3)
         p1 = phase1_strict(spec, 123)
-        expect = derive_coins(p1.seed, b"ring/%d" % p1.pstar).bit(0)
+        expect = CoinStream(p1.seed, b"ring/%d" % p1.pstar).bit(0)
         assert p1.y_star == bytes([expect])
 
     def test_expected_succeeds_fast_halter(self):
@@ -201,7 +199,7 @@ class TestEmbedding:
         byte, the local views of two adjacent slots of a genuine ring run."""
         spec = make_echo_xor(3, 2)
         m, j = 4, 2
-        ring = build_ring(spec, m)
+        ring = RingNetwork(spec, m)
         w = ring.sample_w(77)
         seed = 909
         full = emulate_ring(ring, w, rounds_cap=4 * spec.q, seed=seed, record=True)
@@ -253,7 +251,7 @@ class TestAttackThreeParty:
         spec = make_spec("const:5", 3)
         p1 = phase1_strict(spec, 2)
         assert p1.y_star == b"\x05"
-        adv = attack_adversary(spec, p1, frozenset({2}))
+        adv = AttackAdversary(spec, p1, frozenset({2}))
         res = run_with_adversary(spec, adv, bits_joint(spec, (0, 0, 0)), 8)
         assert res.pre_announced == b"\x05"
         assert res.honest_outcomes() == [b"\x05", b"\x05"]
