@@ -24,7 +24,6 @@ from typing import Any, Optional
 
 from .coinflip import bias_attack, measure_bias, verify_no_nontrivial_bias
 from .compiler import (
-    UnsupportedSubcase,
     always_abort_adversary,
     coin_abort_adversary,
     compare_real_ideal,
@@ -55,7 +54,14 @@ from .dominance import (
 )
 from .netsim import estimate_consistency, run_with_adversary
 from .reports import make_report, write_csv, write_report
-from .ring import attack_n_party, attack_ring_size, embedding_family
+from .ring import (
+    attack_geometry,
+    attack_n_party,
+    attack_ring_size,
+    embedding_family,
+    fuse_parties,
+    partition_to_three,
+)
 from .stats import proportion_sigma, wilson_interval
 from .zoo import ZOO, make_spec
 
@@ -198,16 +204,15 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     for (pid, rep), count in agg["per_party"].items():
         per_party.setdefault(pid, {})[rep] = count
 
-    probe = attack_n_party(spec, t, tuple(corrupt), derive_seed(cfg["seed"], "attack-trial", 0),
-                           variant=cfg["variant"], q_expected=cfg["q_expected"], z=cfg["z"])
-    m, q, pstar = probe.phase1.m, probe.fused_spec.q, probe.phase1.pstar
+    q_expected = cfg["q_expected"] if cfg["variant"] == "expected" else None
+    m, pstar, _ = attack_geometry(spec.q if q_expected is None else q_expected, cfg["variant"])
 
     delta_trials = cfg["delta_trials"]
     if delta_trials is None:
         delta_trials = max(100, trials // (2 * m))
-    consistency = estimate_consistency(
-        probe.fused_spec, embedding_family(probe.fused_spec, m),
-        delta_trials, derive_seed(cfg["seed"], "delta"))
+    fused = fuse_parties(spec, partition_to_three(n, t, corrupt))
+    consistency = estimate_consistency(fused, embedding_family(fused, m),
+                                       delta_trials, derive_seed(cfg["seed"], "delta"))
     delta_hat = consistency.delta_hat
 
     rate = success / ran if ran else 0.0
@@ -219,7 +224,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
 
     body: dict = {
         "protocol": spec.name,
-        "n": n, "t": t, "s": s, "m": m, "q": q, "pstar": pstar,
+        "n": n, "t": t, "s": s, "m": m, "q": spec.q, "pstar": pstar,
         "corrupted": list(corrupt),
         "trials": trials,
         "ran": ran,

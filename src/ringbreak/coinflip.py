@@ -90,21 +90,19 @@ def _distance_envelope(counts: dict[str, int], total: int) -> tuple[float, float
         lo, hi = ci[b]
         target = UNIFORM_BIT[b]
         toward[b] = min(max(target, lo), hi)   # closest admissible point to uniform
-        p = counts.get(b, 0) / total
         away[b] = hi if abs(hi - target) >= abs(lo - target) else lo
     return statistical_distance(toward, UNIFORM_BIT), statistical_distance(away, UNIFORM_BIT), ci
 
 
 def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
-                 trials: int, seed: int, *, forced_value: Optional[bytes] = None,
-                 min_trials: int = 1000) -> BiasReport:
+                 trials: int, seed: int, *, forced_value: Optional[bytes] = None) -> BiasReport:
     """Empirical output distribution over consistent runs.
 
     Honest inputs are resampled per trial; coin-flip protocols ignore them,
     but the measurement stays meaningful for input-dependent outputs too.
     """
-    if trials < min_trials:
-        raise ConfigError(f"need at least {min_trials} trials")
+    if trials < 1000:
+        raise ConfigError("need at least 1000 trials")
     counts = {"0": 0, "1": 0, "other": 0}
     inconsistent = 0
     for i in range(trials):
@@ -176,7 +174,7 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
         aseed = derive_seed(seed, "bias-attack", attempt)
         if n == 3:
             phase1 = phase1_strict(spec, aseed)
-            adv: AdversaryStrategy = AttackAdversary(spec, phase1, frozenset(corrupt))
+            adv: AdversaryStrategy = AttackAdversary(phase1, frozenset(corrupt))
         else:
             if (n - len(corrupt)) % 2 != 0:
                 raise ConfigError(
@@ -294,43 +292,30 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     attack = bias_attack(spec, corrupted, kappa, derive_seed(seed, "bias-search"),
                          exclude=excluded)
 
-    if attack.aborted:
-        bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat
-        return BiasVerdict(
-            spec_name=spec.name, kappa=kappa, m=m, corrupted=corrupted,
-            excluded=excluded.hex(), pilot_counts=pilot_counts, delta_hat=delta_hat,
-            delta_ci=(consistency.ci_low, consistency.ci_high),
-            attack_aborted=True, attempts=attack.attempts, y_star=None, forced=None,
-            distance=None, sigma3=None, bound=bound, holds=None, inconclusive=True,
-            consistency=consistency,
-        )
-
-    try:
-        forced = measure_bias(spec, attack.adversary, trials,
-                              derive_seed(seed, "bias-forced"),
-                              forced_value=attack.y_star)
-    except ConfigError:
-        # zero consistent runs: the adversary breaks agreement outright, the
-        # conditional distribution is empty and the inequality says nothing
-        bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat
-        return BiasVerdict(
-            spec_name=spec.name, kappa=kappa, m=m, corrupted=corrupted,
-            excluded=excluded.hex(), pilot_counts=pilot_counts, delta_hat=delta_hat,
-            delta_ci=(consistency.ci_low, consistency.ci_high),
-            attack_aborted=False, attempts=attack.attempts,
-            y_star=attack.y_star.hex(), forced=None, distance=None, sigma3=None,
-            bound=bound, holds=None, inconclusive=True, consistency=consistency,
-        )
-    forced_count = forced.counts[_bucket(attack.y_star)]
-    sigma3 = 3 * proportion_sigma(forced_count, forced.consistent)
-    bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat - sigma3
-    inconclusive = bound <= 0
+    bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat
+    forced = sigma3 = None
+    if not attack.aborted:
+        try:
+            forced = measure_bias(spec, attack.adversary, trials,
+                                  derive_seed(seed, "bias-forced"),
+                                  forced_value=attack.y_star)
+        except ConfigError:
+            # zero consistent runs: the adversary breaks agreement outright, the
+            # conditional distribution is empty and the inequality says nothing
+            pass
+    if forced is not None:
+        sigma3 = 3 * proportion_sigma(forced.counts[_bucket(attack.y_star)], forced.consistent)
+        bound -= sigma3
     return BiasVerdict(
         spec_name=spec.name, kappa=kappa, m=m, corrupted=corrupted,
         excluded=excluded.hex(), pilot_counts=pilot_counts, delta_hat=delta_hat,
         delta_ci=(consistency.ci_low, consistency.ci_high),
-        attack_aborted=False, attempts=attack.attempts, y_star=attack.y_star.hex(),
-        forced=forced, distance=forced.distance, sigma3=sigma3, bound=bound,
-        holds=forced.distance >= bound, inconclusive=inconclusive,
+        attack_aborted=attack.aborted, attempts=attack.attempts,
+        y_star=None if attack.aborted else attack.y_star.hex(),
+        forced=forced,
+        distance=None if forced is None else forced.distance,
+        sigma3=sigma3, bound=bound,
+        holds=None if forced is None else forced.distance >= bound,
+        inconclusive=forced is None or bound <= 0,
         consistency=consistency,
     )

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Any, Optional, Sequence
 
 from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, outcome_repr
-from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated, token_key
+from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated
 
 
 class UnsupportedSubcase(ConfigError):

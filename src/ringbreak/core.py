@@ -309,14 +309,14 @@ class JointInput:
         ))
 
     @staticmethod
-    def sample(spec: ProtocolSpec, seed: int, label_prefix: bytes = b"p") -> "JointInput":
+    def sample(spec: ProtocolSpec, seed: int) -> "JointInput":
         """Inputs uniform over each party's declared domain; labels fixed."""
         src = CoinStream(seed, b"input-sample")
         entries = []
         for i in range(spec.n):
             entries.append(JointEntry(
                 spec.domains[i].sample(src, offset=128 * i),
-                label_prefix + b"/%d" % i,
+                b"p/%d" % i,
             ))
         return JointInput(tuple(entries))
 

@@ -122,10 +122,9 @@ class AdversaryContext:
     """What the adversary legitimately starts with: the corrupted parties'
     inputs and coin labels, and the run's master seed."""
 
-    def __init__(self, entries: dict[int, JointEntry], seed: int, n: int):
+    def __init__(self, entries: dict[int, JointEntry], seed: int):
         self.entries = entries
         self.seed = seed
-        self.n = n
 
 
 class AdversaryStrategy:
@@ -178,9 +177,6 @@ class EquivocatorAdversary(AdversaryStrategy):
     def __init__(self, corrupted_party: int, n: int):
         self.corrupted = frozenset([corrupted_party])
         self.n = n
-
-    def init(self, ctx: AdversaryContext):
-        return None
 
     def step(self, state, round_no, inbound):
         if round_no != 1:
@@ -246,7 +242,7 @@ def _execute(
     adv_state = None
     pre_announced = None
     if adversary is not None:
-        ctx = AdversaryContext({i: entries[i] for i in corrupted if i in entries}, seed, n)
+        ctx = AdversaryContext({i: entries[i] for i in corrupted if i in entries}, seed)
         adv_state = adversary.init(ctx)
         pre_announced = adversary.pre_announce(adv_state)
 
@@ -399,8 +395,7 @@ class ConsistencyReport:
 
 
 def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[AdversaryStrategy],
-                         trials: int, seed: int, *,
-                         max_rounds: Optional[int] = None) -> ConsistencyReport:
+                         trials: int, seed: int) -> ConsistencyReport:
     """Monte-Carlo estimate of the inconsistency rate delta against a family.
 
     Honest inputs are drawn uniformly from the declared domains and every
@@ -417,7 +412,7 @@ def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[Adversar
         for t in range(trials):
             tseed = derive_seed(seed, "consistency", a_idx, t)
             joint = JointInput.sample(spec, tseed)
-            res = run_with_adversary(spec, adv, joint, tseed, max_rounds=max_rounds)
+            res = run_with_adversary(spec, adv, joint, tseed)
             if not check_consistency(res):
                 failures += 1
         lo, hi = wilson_interval(failures, trials)

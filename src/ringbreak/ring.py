@@ -5,9 +5,11 @@ cycle of 3m slots (A1 B1 C1 A2 ... Cm). Each slot runs its role's unmodified
 program with its neighbor ids relabeled, so locally every slot sees a
 perfectly ordinary 3-party execution. Information travels one hop per round,
 so any slot's view over r rounds is determined by the slots within distance r;
-that locality is what the bridging adversaries below exploit: they drop real
-honest parties into adjacent slots and simulate the whole remaining ring,
-committing to the far slot's output before the first message is sent.
+that locality is what the one bridge below (`RingBridge`) exploits: it drops
+real honest parties into adjacent slots and simulates the whole remaining
+ring. The consistency probe and the attack are that bridge over two rings: the
+probe bridges into a freshly sampled ring, the attack into the offline phase-1
+ring, whose far slot's output it announces before the first message is sent.
 
 The n-party reduction partitions the parties into three groups and fuses each
 group into one super-party, turning any n-party protocol into a 3-party one
@@ -147,9 +149,9 @@ class RingNetwork:
             domains=domains,
         )
 
-    def zeros_w(self, label_prefix: bytes = b"ring") -> JointInput:
+    def zeros_w(self) -> JointInput:
         return JointInput(tuple(
-            JointEntry(self.spec3.domains[s % 3].zero(), label_prefix + b"/%d" % s)
+            JointEntry(self.spec3.domains[s % 3].zero(), b"ring/%d" % s)
             for s in range(self.size)
         ))
 
@@ -222,6 +224,14 @@ def attack_ring_size(q: int, variant: str) -> int:
     return m
 
 
+def attack_geometry(q: int, variant: str) -> tuple[int, int, int]:
+    """Phase-1 ring for a round budget q: copies m, far slot P* and P*'s
+    distance from the honest window."""
+    m = attack_ring_size(q, variant)
+    pstar, dist = _best_far_slot(3 * m)
+    return m, pstar, dist
+
+
 @dataclass
 class AttackPhase1Result:
     """Outcome of the offline ring run(s) that pre-commit the forced value."""
@@ -237,28 +247,34 @@ class AttackPhase1Result:
     iterations_used: int
     aborted: bool
     pstar_halt_round: Optional[int]
-    ring: RingNetwork = field(repr=False, default=None)
+    ring: RingNetwork = field(repr=False)
 
 
-def phase1_strict(spec3: ProtocolSpec, seed: int, q: Optional[int] = None) -> AttackPhase1Result:
-    """One offline ring emulation on fixed w; P*'s output becomes y*."""
-    if spec3.n != 3:
-        raise ConfigError("phase 1 runs on a 3-party protocol")
-    q = q if q is not None else spec3.q
-    m = attack_ring_size(q, "strict")
+def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> AttackPhase1Result:
+    """Up to z offline ring runs on fixed w, each with fresh coins and cut off
+    after m rounds; the first in which P* halts fixes y*."""
+    m, pstar, dist = attack_geometry(q, variant)
     ring = RingNetwork(spec3, m)
-    pstar, dist = _best_far_slot(ring.size)
-    exec_seed = derive_seed(seed, "phase1", 1)
     w = ring.zeros_w()
-    res = emulate_ring(ring, w, rounds_cap=m, seed=exec_seed)
+    for it in range(1, z + 1):
+        exec_seed = derive_seed(seed, "phase1", it)
+        res = emulate_ring(ring, w, rounds_cap=m, seed=exec_seed)
+        if res.outcomes[pstar] is not RUNNING:
+            break
     y = res.outcomes[pstar]
-    if y is RUNNING:
-        raise SpecViolation("phase 1: far slot still RUNNING at the strict bound")
     return AttackPhase1Result(
-        variant="strict", m=m, q=q, pstar=pstar, pstar_distance=dist,
-        y_star=y, w=w, seed=exec_seed, iterations_used=1, aborted=False,
-        pstar_halt_round=res.halt_rounds[pstar], ring=ring,
+        variant=variant, m=m, q=q, pstar=pstar, pstar_distance=dist,
+        y_star=None if y is RUNNING else y, w=w, seed=exec_seed, iterations_used=it,
+        aborted=y is RUNNING, pstar_halt_round=res.halt_rounds[pstar], ring=ring,
     )
+
+
+def phase1_strict(spec3: ProtocolSpec, seed: int) -> AttackPhase1Result:
+    """One offline ring emulation on fixed w; P*'s output becomes y*."""
+    phase1 = _phase1(spec3, "strict", spec3.q, 1, seed)
+    if phase1.aborted:
+        raise SpecViolation("phase 1: far slot still RUNNING at the strict bound")
+    return phase1
 
 
 def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> AttackPhase1Result:
@@ -269,31 +285,9 @@ def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> 
     each iteration succeeds with probability at least 1/2 for a protocol with
     expected round complexity q_expected, and Pr[abort] <= 2^-z.
     """
-    if spec3.n != 3:
-        raise ConfigError("phase 1 runs on a 3-party protocol")
     if z < 1:
         raise ConfigError("need z >= 1 iterations")
-    m = attack_ring_size(q_expected, "expected")
-    ring = RingNetwork(spec3, m)
-    pstar, dist = _best_far_slot(ring.size)
-    w = ring.zeros_w()
-    last_seed = None
-    for it in range(1, z + 1):
-        exec_seed = derive_seed(seed, "phase1", it)
-        last_seed = exec_seed
-        res = emulate_ring(ring, w, rounds_cap=m, seed=exec_seed)
-        y = res.outcomes[pstar]
-        if y is not RUNNING:
-            return AttackPhase1Result(
-                variant="expected", m=m, q=q_expected, pstar=pstar, pstar_distance=dist,
-                y_star=y, w=w, seed=exec_seed, iterations_used=it, aborted=False,
-                pstar_halt_round=res.halt_rounds[pstar], ring=ring,
-            )
-    return AttackPhase1Result(
-        variant="expected", m=m, q=q_expected, pstar=pstar, pstar_distance=dist,
-        y_star=None, w=w, seed=last_seed, iterations_used=z, aborted=True,
-        pstar_halt_round=None, ring=ring,
-    )
+    return _phase1(spec3, "expected", q_expected, z, seed)
 
 
 def honest_slot_map(corrupted: frozenset[int]) -> dict[int, int]:
@@ -350,86 +344,22 @@ class VirtualRing:
         return [send for send in sends if send[1] in self.external]
 
 
-class NeighborEmbeddingAdversary(AdversaryStrategy):
-    """Drops the two honest parties into slots (A_j, B_j) of a simulated ring.
+class RingBridge(AdversaryStrategy):
+    """Real honest parties in adjacent slots of a ring the adversary simulates.
 
-    Corrupts party 2 and plays, toward each honest party, the neighboring
-    virtual slot of a ring whose other 3m-2 slots it simulates internally.
-    The honest pair's joint view is then exactly the view of two adjacent
-    ring slots, which is what makes this family the right consistency probe.
+    `slots` maps each honest party to its slot; the other roles are corrupted.
+    The remaining slots run in a VirtualRing in lockstep with the real rounds,
+    and each honest party's channel to a corrupted role bridges to the
+    neighboring virtual slot. Subclasses choose the ring input and seed.
     """
 
-    def __init__(self, spec3: ProtocolSpec, m: int, j: int,
-                 fixed_w: Optional[JointInput] = None,
-                 fixed_seed: Optional[int] = None):
-        if not 1 <= j <= m:
-            raise ConfigError("copy index j out of range")
-        self.spec3 = spec3
-        self.m = m
-        self.j = j
-        self.ring = RingNetwork(spec3, m)
-        self.corrupted = frozenset({2})
-        e_a = self.ring.slot_of(0, j)
-        e_b = self.ring.slot_of(1, j)
-        self.external = {e_a: 0, e_b: 1}
-        size = self.ring.size
-        # each honest party's channel to corrupted party 2 bridges to one virtual slot
-        self.in_bridge = {0: (e_a - 1) % size, 1: (e_b + 1) % size}
-        self.fixed_w = fixed_w
-        self.fixed_seed = fixed_seed
-
-    def describe(self) -> str:
-        return f"embed[j={self.j},m={self.m}]"
-
-    def init(self, ctx: AdversaryContext):
-        if self.fixed_w is not None:
-            entries = {s: self.fixed_w[s] for s in range(self.ring.size) if s not in self.external}
-            seed = self.fixed_seed if self.fixed_seed is not None else ctx.seed
-        else:
-            w = self.ring.sample_w(derive_seed(ctx.seed, "embed-w", self.j), label_prefix=b"emb")
-            entries = {s: w[s] for s in range(self.ring.size) if s not in self.external}
-            seed = derive_seed(ctx.seed, "embed-run", self.j)
-        return VirtualRing(self.ring, entries, seed, dict(self.external))
-
-    def step(self, vring: VirtualRing, round_no: int, inbound):
-        # src is 0 or 1, so its role is its id
-        fed = [(self.ring.slot_of(src, self.j), self.in_bridge[src], payload)
-               for (src, dst), payload in inbound.items()]
-        boundary = vring.step(round_no, fed)
-        return vring, {(2, self.external[ext_slot]): payload
-                       for vslot, ext_slot, payload in boundary}
-
-
-def embedding_family(spec3: ProtocolSpec, m: int) -> list[NeighborEmbeddingAdversary]:
-    """The j-indexed family the consistency estimate runs against."""
-    return [NeighborEmbeddingAdversary(spec3, m, j) for j in range(1, m + 1)]
-
-
-class AttackAdversary(AdversaryStrategy):
-    """Online phase of the ring attack: bridge the honest parties into the
-    pre-committed ring and announce the far slot's output before round 1.
-
-    The honest parties land on the window slots matching the corrupted set;
-    every remaining slot replays its phase-1 program with the phase-1 coins,
-    so the far slot P* is guaranteed to behave exactly as it did offline as
-    long as honest influence cannot reach it in time (it sits farther than
-    the round budget allows).
-    """
-
-    def __init__(self, spec3: ProtocolSpec, phase1: AttackPhase1Result,
-                 corrupted: frozenset[int], virtual_round_cap: Optional[int] = None):
-        if phase1.aborted:
-            raise ConfigError("phase 1 aborted; no value to force")
-        self.spec3 = spec3
-        self.phase1 = phase1
-        self.corrupted = frozenset(corrupted)
-        self.ring = phase1.ring or RingNetwork(spec3, phase1.m)
-        self.mapping = honest_slot_map(self.corrupted)  # honest party -> slot
-        self.external = {slot: h for h, slot in self.mapping.items()}
-        if virtual_round_cap is None and phase1.variant == "expected":
-            virtual_round_cap = 64 * max(1, phase1.q)
-        self.virtual_round_cap = virtual_round_cap
-        size = self.ring.size
+    def __init__(self, ring: RingNetwork, slots: dict[int, int], round_cap: Optional[int]):
+        self.ring = ring
+        self.mapping = dict(slots)  # honest party -> slot
+        self.corrupted = frozenset(range(3)) - frozenset(slots)
+        self.external = {slot: h for h, slot in slots.items()}
+        self.virtual_round_cap = round_cap
+        size = ring.size
         self.in_bridge: dict[tuple[int, int], int] = {}
         for slot, h in self.external.items():
             for v in ((slot - 1) % size, (slot + 1) % size):
@@ -440,19 +370,15 @@ class AttackAdversary(AdversaryStrategy):
                     raise ConfigError("honest window mapping broke role alignment")
                 self.in_bridge[(h, role)] = v
 
-    def describe(self) -> str:
-        return f"ring-attack[corrupt={sorted(self.corrupted)},m={self.phase1.m}]"
+    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput, int]:
+        """Ring input w and execution seed of the simulated slots."""
+        raise NotImplementedError
 
     def init(self, ctx: AdversaryContext):
-        entries = {
-            s: self.phase1.w[s]
-            for s in range(self.ring.size) if s not in self.external
-        }
-        return VirtualRing(self.ring, entries, self.phase1.seed, dict(self.external),
+        w, seed = self.ring_input(ctx)
+        entries = {s: w[s] for s in range(self.ring.size) if s not in self.external}
+        return VirtualRing(self.ring, entries, seed, dict(self.external),
                            round_cap=self.virtual_round_cap)
-
-    def pre_announce(self, vring) -> Optional[bytes]:
-        return self.phase1.y_star
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
         # traffic between corrupted parties has no bridge; nothing to simulate
@@ -461,6 +387,63 @@ class AttackAdversary(AdversaryStrategy):
         boundary = vring.step(round_no, fed)
         return vring, {(vslot % 3, self.external[ext_slot]): payload
                        for vslot, ext_slot, payload in boundary}
+
+
+class NeighborEmbeddingAdversary(RingBridge):
+    """Drops the two honest parties into slots (A_j, B_j) of a simulated ring.
+
+    Corrupts party 2 and plays, toward each honest party, the neighboring
+    virtual slot of a ring whose other 3m-2 slots it simulates internally.
+    The honest pair's joint view is then exactly the view of two adjacent
+    ring slots, which is what makes this family the right consistency probe.
+    """
+
+    def __init__(self, spec3: ProtocolSpec, m: int, j: int):
+        if not 1 <= j <= m:
+            raise ConfigError("copy index j out of range")
+        self.j = j
+        ring = RingNetwork(spec3, m)
+        super().__init__(ring, {0: ring.slot_of(0, j), 1: ring.slot_of(1, j)}, None)
+
+    def describe(self) -> str:
+        return f"embed[j={self.j},m={self.ring.m}]"
+
+    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput, int]:
+        w = self.ring.sample_w(derive_seed(ctx.seed, "embed-w", self.j), label_prefix=b"emb")
+        return w, derive_seed(ctx.seed, "embed-run", self.j)
+
+
+def embedding_family(spec3: ProtocolSpec, m: int) -> list[NeighborEmbeddingAdversary]:
+    """The j-indexed family the consistency estimate runs against."""
+    return [NeighborEmbeddingAdversary(spec3, m, j) for j in range(1, m + 1)]
+
+
+class AttackAdversary(RingBridge):
+    """Online phase of the ring attack: bridge the honest parties into the
+    pre-committed ring and announce the far slot's output before round 1.
+
+    The honest parties land on the window slots matching the corrupted set;
+    every remaining slot replays its phase-1 program with the phase-1 coins,
+    so the far slot P* is guaranteed to behave exactly as it did offline as
+    long as honest influence cannot reach it in time (it sits farther than
+    the round budget allows).
+    """
+
+    def __init__(self, phase1: AttackPhase1Result, corrupted: frozenset[int]):
+        if phase1.aborted:
+            raise ConfigError("phase 1 aborted; no value to force")
+        self.phase1 = phase1
+        round_cap = 64 * max(1, phase1.q) if phase1.variant == "expected" else None
+        super().__init__(phase1.ring, honest_slot_map(frozenset(corrupted)), round_cap)
+
+    def describe(self) -> str:
+        return f"ring-attack[corrupt={sorted(self.corrupted)},m={self.phase1.m}]"
+
+    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput, int]:
+        return self.phase1.w, self.phase1.seed
+
+    def pre_announce(self, vring) -> Optional[bytes]:
+        return self.phase1.y_star
 
 
 def _bundle(triples: Sequence[tuple[int, int, bytes]]) -> bytes:
@@ -603,7 +586,7 @@ class UnfusedAttackAdversary(AdversaryStrategy):
         return f"nparty-attack[I={sorted(self.corrupted)}]"
 
     def init(self, ctx: AdversaryContext):
-        return self.inner.init(AdversaryContext({}, ctx.seed, 3))
+        return self.inner.init(AdversaryContext({}, ctx.seed))
 
     def pre_announce(self, state) -> Optional[bytes]:
         return self.inner.pre_announce(state)
@@ -657,6 +640,6 @@ def attack_n_party(spec: ProtocolSpec, t: int, corrupted: Sequence[int], seed: i
             return NPartyAttack(spec, partition, fused, phase1, None)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    inner = AttackAdversary(fused, phase1, frozenset({2}))
+    inner = AttackAdversary(phase1, frozenset({2}))
     return NPartyAttack(spec, partition, fused, phase1,
                         UnfusedAttackAdversary(spec, partition, inner))

@@ -182,11 +182,11 @@ class ByteSpewerProgram(PartyProgram):
     """Chatter mutant for locality experiments: random bytes every round, never halts."""
 
     role_id = "spew"
+    WIDTH = 24
 
-    def __init__(self, n: int, me: int, width: int = 24):
+    def __init__(self, n: int, me: int):
         self.n = n
         self.me = me
-        self.width = width
 
     def init(self, input_bytes, coins):
         return (coins, 0)
@@ -196,7 +196,7 @@ class ByteSpewerProgram(PartyProgram):
         sends = {}
         for j in range(self.n):
             if j != self.me:
-                sends[j] = coins.read(self.width * (k * self.n + j), self.width)
+                sends[j] = coins.read(self.WIDTH * (k * self.n + j), self.WIDTH)
         return (coins, k + 1), sends
 
     def finished(self, state):

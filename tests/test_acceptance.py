@@ -6,7 +6,6 @@ Every run is fully seeded, so the verdicts are reproducible bit for bit.
 """
 
 import json
-import math
 import random
 import time
 from fractions import Fraction

@@ -2,9 +2,11 @@
 
 import json
 
-import pytest
-
+import ringbreak.cli as cli
 from ringbreak.cli import main
+from ringbreak.core import derive_seed
+from ringbreak.ring import attack_n_party
+from ringbreak.zoo import make_spec
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -57,6 +59,42 @@ class TestAttack:
         code2, _ = run(tmp_path, *args, "--jobs", "2", name="j2.json")
         assert code1 == code2
         assert (tmp_path / "j1.json").read_bytes() == (tmp_path / "j2.json").read_bytes()
+
+    def test_builds_one_attack_per_trial(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.attack_n_party
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "attack_n_party", counting)
+        code, _ = run(tmp_path, "attack", "--protocol", "const:1", "--t", "1",
+                      "--trials", "7", "--seed", "2", "--jobs", "1")
+        assert code == 0
+        assert len(calls) == 7
+
+    def test_ring_geometry_is_trial_zeros(self, tmp_path):
+        # m, q and P* in the report are those of trial 0's phase-1 ring
+        configs = [
+            ("echo_xor:2", "--n", "3", "--t", "1"),
+            ("or_exchange", "--n", "9", "--t", "3"),
+            ("geom_halt:0.25", "--t", "1", "--variant", "expected"),
+            ("geom_halt:0.25", "--t", "1", "--variant", "expected", "--q-expected", "2"),
+        ]
+        seen = set()
+        for protocol, *rest in configs:
+            _, rep = run(tmp_path, "attack", "--protocol", protocol, *rest,
+                         "--trials", "2", "--delta-trials", "100", "--seed", "4")
+            cfg = rep["config"]
+            atk = attack_n_party(make_spec(protocol, cfg["n"]), cfg["t"], tuple(cfg["corrupt"]),
+                                 derive_seed(cfg["seed"], "attack-trial", 0),
+                                 variant=cfg["variant"], q_expected=cfg["q_expected"],
+                                 z=cfg["z"])
+            got = (rep["m"], rep["q"], rep["pstar"])
+            assert got == (atk.phase1.m, atk.fused_spec.q, atk.phase1.pstar), protocol
+            seen.add(got)
+        assert len(seen) == len(configs)  # each config exercises its own ring
 
     def test_rerun_is_byte_identical(self, tmp_path):
         code, _ = run(tmp_path, "attack", "--protocol", "const:1", "--t", "1",

@@ -16,7 +16,6 @@ from ringbreak.ring import (
     HONEST_WINDOW,
     NeighborEmbeddingAdversary,
     RingNetwork,
-    UnfusedAttackAdversary,
     _best_far_slot,
     _bundle,
     _unbundle,
@@ -48,6 +47,17 @@ def bits_joint(spec, bits):
         JointEntry(bytes([b]) + bytes(spec.domains[i].length - 1), b"p/%d" % i)
         for i, b in enumerate(bits)
     ))
+
+
+class FixedRingEmbedding(NeighborEmbeddingAdversary):
+    """Embedding adversary that simulates a given ring input and seed."""
+
+    def __init__(self, spec3, m, j, w, seed):
+        super().__init__(spec3, m, j)
+        self.w, self.seed = w, seed
+
+    def ring_input(self, ctx):
+        return self.w, self.seed
 
 
 def ring_bits_w(ring, bits):
@@ -205,7 +215,7 @@ class TestEmbedding:
         full = emulate_ring(ring, w, rounds_cap=4 * spec.q, seed=seed, record=True)
 
         e_a, e_b = ring.slot_of(0, j), ring.slot_of(1, j)
-        adv = NeighborEmbeddingAdversary(spec, m, j, fixed_w=w, fixed_seed=seed)
+        adv = FixedRingEmbedding(spec, m, j, w, seed)
         joint = {
             0: JointEntry(w[e_a].input, w[e_a].coin_label),
             1: JointEntry(w[e_b].input, w[e_b].coin_label),
@@ -251,7 +261,7 @@ class TestAttackThreeParty:
         spec = make_spec("const:5", 3)
         p1 = phase1_strict(spec, 2)
         assert p1.y_star == b"\x05"
-        adv = AttackAdversary(spec, p1, frozenset({2}))
+        adv = AttackAdversary(p1, frozenset({2}))
         res = run_with_adversary(spec, adv, bits_joint(spec, (0, 0, 0)), 8)
         assert res.pre_announced == b"\x05"
         assert res.honest_outcomes() == [b"\x05", b"\x05"]
@@ -262,7 +272,7 @@ class TestAttackThreeParty:
         spec = make_echo_xor(3, 2)
         p1 = phase1_strict(spec, 42)
         for corrupted in ({0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}):
-            adv = AttackAdversary(spec, p1, frozenset(corrupted))
+            adv = AttackAdversary(p1, frozenset(corrupted))
             joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i)
                      for i in range(3) if i not in corrupted}
             res = run_with_adversary(spec, adv, joint, derive_seed(1, *sorted(corrupted)))
@@ -274,14 +284,14 @@ class TestAttackThreeParty:
         spec = make_geom_halt(3, 1e-9)
         p1 = phase1_expected(spec, 1, z=2, seed=1)
         with pytest.raises(ConfigError):
-            AttackAdversary(spec, p1, frozenset({2}))
+            AttackAdversary(p1, frozenset({2}))
 
     def test_expected_variant_pstar_halts_within_m(self):
         spec = make_geom_halt(3, tuned_halt_probability(7))
         p1 = phase1_expected(spec, 3, z=16, seed=6)
         assert not p1.aborted
         assert p1.pstar_halt_round <= p1.m
-        adv = AttackAdversary(spec, p1, frozenset({2}))
+        adv = AttackAdversary(p1, frozenset({2}))
         joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i) for i in (0, 1)}
         res = run_with_adversary(spec, adv, joint, 14)
         assert res.honest_outcomes() == [b"\x00", b"\x00"]
@@ -294,7 +304,7 @@ class TestAttackThreeParty:
         spec = make_echo_xor(3, 2)
         p1 = phase1_strict(spec, 9)
         offline = emulate_ring(p1.ring, p1.w, rounds_cap=p1.m, seed=p1.seed, record=True)
-        adv = AttackAdversary(spec, p1, frozenset({2}))
+        adv = AttackAdversary(p1, frozenset({2}))
         joint = {i: JointEntry(p1.w[i].input, p1.w[i].coin_label) for i in (0, 1)}
         res = run_with_adversary(spec, adv, joint, 400, record=True,
                                  enforce_round_bound=False)
