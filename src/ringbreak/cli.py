@@ -19,8 +19,9 @@ import os
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .coinflip import bias_attack, measure_bias, verify_no_nontrivial_bias
 from .compiler import (
@@ -134,18 +135,18 @@ def _load_table(cfg: dict) -> FunctionTable:
 # ---------------------------------------------------------------- attack
 
 def _attack_chunk(task: tuple) -> dict[str, Counter]:
-    """Tallies of one trial range: totals (success, ran, aborts), y* values,
-    honest outcomes, and (party, outcome) pairs."""
-    params, start, count = task
-    spec = make_spec(params["protocol"], params["n"])
-    corrupt = tuple(params["corrupt"])
+    """Tallies of one trial range of an attack config: totals (success, ran,
+    aborts), y* values, honest outcomes, and (party, outcome) pairs."""
+    cfg, start, count = task
+    spec = make_spec(cfg["protocol"], cfg["n"])
+    corrupt = tuple(cfg["corrupt"])
     agg = {"totals": Counter(), "y_star": Counter(), "outcomes": Counter(),
            "per_party": Counter()}
     for i in range(start, start + count):
-        tseed = derive_seed(params["seed"], "attack-trial", i)
-        atk = attack_n_party(spec, params["t"], corrupt, tseed,
-                             variant=params["variant"],
-                             q_expected=params["q_expected"], z=params["z"])
+        tseed = derive_seed(cfg["seed"], "attack-trial", i)
+        atk = attack_n_party(spec, cfg["t"], corrupt, tseed,
+                             variant=cfg["variant"],
+                             q_expected=cfg["q_expected"], z=cfg["z"])
         if atk.phase1.aborted:
             agg["totals"]["aborts"] += 1
             continue
@@ -182,18 +183,18 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     n, t = cfg["n"], cfg["t"]
     if t is None:
         raise ConfigError("attack needs --t")
+    if cfg["q_expected"] is not None and cfg["variant"] == "strict":
+        raise ConfigError("--q-expected applies only to --variant expected")
     s = 1 if 2 * t >= n else n - 2 * t
     corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else list(range(n - s, n))
     cfg["corrupt"] = list(corrupt)
     trials = cfg["trials"]
     if trials < 1:
         raise ConfigError("need at least one trial")
-    params = {"protocol": cfg["protocol"], "n": n, "t": t, "corrupt": list(corrupt),
-              "variant": cfg["variant"], "q_expected": cfg["q_expected"], "z": cfg["z"],
-              "seed": cfg["seed"]}
+    fused = fuse_parties(spec, partition_to_three(n, t, corrupt))
 
     chunk = max(1, math.ceil(trials / max(1, jobs * 4)))
-    tasks = [(params, lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)]
+    tasks = [(cfg, lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)]
     agg: defaultdict[str, Counter] = defaultdict(Counter)
     for part in _pmap(_attack_chunk, tasks, jobs):
         for key, counts in part.items():
@@ -204,13 +205,12 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     for (pid, rep), count in agg["per_party"].items():
         per_party.setdefault(pid, {})[rep] = count
 
-    q_expected = cfg["q_expected"] if cfg["variant"] == "expected" else None
+    q_expected = cfg["q_expected"]
     m, pstar, _ = attack_geometry(spec.q if q_expected is None else q_expected, cfg["variant"])
 
     delta_trials = cfg["delta_trials"]
     if delta_trials is None:
         delta_trials = max(100, trials // (2 * m))
-    fused = fuse_parties(spec, partition_to_three(n, t, corrupt))
     consistency = estimate_consistency(fused, embedding_family(fused, m),
                                        delta_trials, derive_seed(cfg["seed"], "delta"))
     delta_hat = consistency.delta_hat
@@ -268,19 +268,10 @@ def cmd_dominance(cfg: dict, jobs: int = 1):
     }
     code = EXIT_OK
     if cfg["t"] is not None:
-        verdict = classify(table, table.n, cfg["t"])
-        body["classification"] = {
-            "verdict": verdict.verdict, "n": verdict.n, "t": verdict.t, "k": verdict.k,
-            "dominated": verdict.dominated, "y_star": verdict.y_star,
-            "reason": verdict.reason,
-        }
+        body["classification"] = asdict(classify(table, table.n, cfg["t"]))
     if cfg["collapse_m"] is not None:
         v = verify_weak_implies_strong(table, cfg["collapse_m"])
-        body["collapse"] = {
-            "m": v.m, "weakly_dominated": v.weakly_dominated,
-            "strongly_dominated": v.strongly_dominated, "holds": v.holds,
-            "y_star": v.y_star,
-        }
+        body["collapse"] = {k: x for k, x in asdict(v).items() if k != "counterexample"}
         if not v.holds:
             code = EXIT_FAIL
     csv_rows = ("k,weak,strong,y_star",
@@ -360,6 +351,8 @@ def cmd_compile(cfg: dict, jobs: int = 1):
     n, t = table.n, cfg["t"]
     if t is None:
         raise ConfigError("compile needs --t")
+    if (cfg["mc_trials"] or 0) < 0:
+        raise ConfigError("--mc-trials must be >= 0")
     wrapped = wrap_dominated(table, n, t)
     inputs = cfg["inputs"] if cfg["inputs"] is not None else [0] * n
     cfg["inputs"] = list(inputs)
@@ -451,31 +444,62 @@ def cmd_validate(cfg: dict, jobs: int = 1):
     return body, EXIT_OK if rep.ok else EXIT_FAIL, None
 
 
-HANDLERS = {
-    "attack": cmd_attack,
-    "dominance": cmd_dominance,
-    "coinflip": cmd_coinflip,
-    "compile": cmd_compile,
-    "consistency": cmd_consistency,
-    "validate": cmd_validate,
+# argparse type, choices and help of each config key's flag, written once;
+# `build_parser` adds key `delta_trials` as `--delta-trials`.
+FLAGS: dict[str, dict[str, Any]] = {
+    "protocol": {"help": f"zoo selector, one of: {', '.join(sorted(ZOO))}"},
+    "n": {"type": int},
+    "t": {"type": int, "help": "corruption threshold (dominance: also classify at it)"},
+    "corrupt": {"type": _parse_int_list, "help": "corrupted ids, e.g. 7,8"},
+    "trials": {"type": int, "help": "trials (consistency: per family member)"},
+    "variant": {"choices": ["strict", "expected"]},
+    "z": {"type": int, "help": "offline iterations for the expected variant"},
+    "q_expected": {"type": int, "help": "round bound --variant expected assumes"},
+    "delta_trials": {"type": int},
+    "seed": {"type": int},
+    "table": {"help": "JSON table file"},
+    "builtin": {"help": "builtin table selector, e.g. or:3, thresh:2:4, pairs"},
+    "collapse_m": {"type": int, "help": "also check weak=>strong at this m"},
+    "budget": {"type": int},
+    "mode": {"choices": ["honest", "attack", "verify"]},
+    "kappa": {"type": int},
+    "adv": {"help": "never | abort | coin:P"},
+    "inputs": {"type": _parse_int_list},
+    "mc_trials": {"type": int},
+    "m": {"type": int},
 }
 
-SCHEMAS: dict[str, dict[str, Any]] = {
-    "attack": {"protocol": None, "n": 3, "t": None, "corrupt": None, "trials": 1000,
-               "variant": "strict", "z": 16, "q_expected": None, "delta_trials": None,
-               "seed": None},
-    "dominance": {"table": None, "builtin": None, "table_data": None, "t": None,
-                  "collapse_m": None, "budget": 2 ** 24},
-    "coinflip": {"protocol": "fair_coin", "n": 3, "mode": "verify", "kappa": 10,
-                 "trials": 10000, "corrupt": None, "delta_trials": None, "seed": None},
-    "compile": {"table": None, "builtin": None, "table_data": None, "t": None,
-                "adv": "never", "inputs": None, "corrupt": None, "mc_trials": 0,
-                "seed": None},
-    "consistency": {"protocol": None, "n": 3, "m": None, "trials": 500, "seed": None},
-    "validate": {"protocol": None, "n": 3, "trials": 25, "seed": None},
+# kind -> (handler, help, config schema with defaults). Every schema key but
+# table_data is also a flag; a kind is seeded when its schema has "seed".
+EXPERIMENTS: dict[str, tuple[Callable, str, dict[str, Any]]] = {
+    "attack": (cmd_attack, "run the ring attack and check the success bound",
+               {"protocol": None, "n": 3, "t": None, "corrupt": None, "trials": 1000,
+                "variant": "strict", "z": 16, "q_expected": None, "delta_trials": None,
+                "seed": None}),
+    "dominance": (cmd_dominance, "dominance profile and computability verdict",
+                  {"table": None, "builtin": None, "table_data": None, "t": None,
+                   "collapse_m": None, "budget": 2 ** 24}),
+    "coinflip": (cmd_coinflip, "bias measurement and the forcing attack",
+                 {"protocol": "fair_coin", "n": 3, "mode": "verify", "kappa": 10,
+                  "trials": 10000, "corrupt": None, "delta_trials": None, "seed": None}),
+    "compile": (cmd_compile, "wrapper correctness and real-vs-ideal comparison",
+                {"table": None, "builtin": None, "table_data": None, "t": None,
+                 "adv": "never", "inputs": None, "corrupt": None, "mc_trials": 0,
+                 "seed": None}),
+    "consistency": (cmd_consistency, "estimate delta under the embedding family",
+                    {"protocol": None, "n": 3, "m": None, "trials": 500, "seed": None}),
+    "validate": (cmd_validate, "check a zoo protocol against its declared contract",
+                 {"protocol": None, "n": 3, "trials": 25, "seed": None}),
 }
 
-SEEDED = {"attack", "coinflip", "compile", "consistency", "validate"}
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config file; flags take precedence")
+    p.add_argument("--report", help="write the JSON report here (default stdout)")
+    p.add_argument("--csv", help="write a CSV summary here")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the attack trial loop (default 1); "
+                        "the other subcommands run serially with identical reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,93 +508,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attack laboratory for broadcast-free multiparty protocols.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--report", help="write the JSON report here (default stdout)")
-        p.add_argument("--csv", help="write a CSV summary here")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the attack trial loop (default 1); "
-                            "the other subcommands run serially with identical reports")
-
-    p = sub.add_parser("attack", help="run the ring attack and check the success bound")
-    p.add_argument("--protocol", help=f"zoo selector, one of: {', '.join(sorted(ZOO))}")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--corrupt", type=_parse_int_list, help="corrupted ids, e.g. 7,8")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--variant", choices=["strict", "expected"])
-    p.add_argument("--z", type=int, help="offline iterations for the expected variant")
-    p.add_argument("--q-expected", dest="q_expected", type=int)
-    p.add_argument("--delta-trials", dest="delta_trials", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("dominance", help="dominance profile and computability verdict")
-    p.add_argument("--table", help="JSON table file")
-    p.add_argument("--builtin", help="builtin table selector, e.g. or:3, thresh:2:4, pairs")
-    p.add_argument("--t", type=int, help="also classify at this corruption threshold")
-    p.add_argument("--collapse-m", dest="collapse_m", type=int,
-                   help="also check weak=>strong at this m")
-    p.add_argument("--budget", type=int)
-    common(p)
-
-    p = sub.add_parser("coinflip", help="bias measurement and the forcing attack")
-    p.add_argument("--protocol")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=["honest", "attack", "verify"])
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--corrupt", type=_parse_int_list)
-    p.add_argument("--delta-trials", dest="delta_trials", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("compile", help="wrapper correctness and real-vs-ideal comparison")
-    p.add_argument("--table")
-    p.add_argument("--builtin")
-    p.add_argument("--t", type=int)
-    p.add_argument("--adv", help="never | abort | coin:P")
-    p.add_argument("--inputs", type=_parse_int_list)
-    p.add_argument("--corrupt", type=_parse_int_list)
-    p.add_argument("--mc-trials", dest="mc_trials", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("consistency", help="estimate delta under the embedding family")
-    p.add_argument("--protocol")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--trials", type=int, help="trials per family member")
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("validate", help="check a zoo protocol against its declared contract")
-    p.add_argument("--protocol")
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
+    for kind, (_, help_text, schema) in EXPERIMENTS.items():
+        p = sub.add_parser(kind, help=help_text)
+        for key in schema:
+            if key != "table_data":
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **FLAGS[key])
+        _add_common(p)
     p = sub.add_parser("rerun", help="re-execute a report's embedded config")
     p.add_argument("--from", dest="from_path", required=True, help="existing report JSON")
-    common(p)
-
+    _add_common(p)
     return parser
 
 
 def run_config(kind: str, cfg: dict, jobs: int = 1) -> tuple[dict, int, Any]:
     """Execute one experiment config; returns (report, exit_code, csv payload)."""
-    if kind not in HANDLERS:
+    if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    merged = dict(SCHEMAS[kind])
-    merged.update({k: v for k, v in cfg.items() if k in SCHEMAS[kind]})
-    unknown = set(cfg) - set(SCHEMAS[kind])
+    handler, _, schema = EXPERIMENTS[kind]
+    unknown = set(cfg) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys for {kind}: {sorted(unknown)}")
-    if kind in SEEDED:
-        merged["seed"] = _seed_fallback(merged.get("seed"))
-    body, code, csv_payload = HANDLERS[kind](merged, jobs=jobs)
+    merged = {**schema, **cfg}
+    if "seed" in schema:
+        merged["seed"] = _seed_fallback(merged["seed"])
+    body, code, csv_payload = handler(merged, jobs=jobs)
     return make_report(kind, merged, body), code, csv_payload
 
 
@@ -585,26 +546,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigError("not a ringbreak report: missing kind/config")
             report, code, csv_payload = run_config(old["kind"], old["config"], jobs=args.jobs)
         else:
-            file_cfg = {}
+            cfg = {}
             if args.config:
                 try:
                     with open(args.config) as fh:
-                        file_cfg = json.load(fh)
+                        cfg = json.load(fh)
                 except (OSError, json.JSONDecodeError) as e:
                     raise ConfigError(f"cannot read config file: {e}")
-                if not isinstance(file_cfg, dict):
+                if not isinstance(cfg, dict):
                     raise ConfigError("config file must hold a JSON object")
-                stray = set(file_cfg) - set(SCHEMAS[args.cmd])
-                if stray:
-                    raise ConfigError(
-                        f"unknown config keys for {args.cmd}: {sorted(stray)}")
-            cfg = {}
-            for key in SCHEMAS[args.cmd]:
-                flag = getattr(args, key, None)
-                if flag is not None:
-                    cfg[key] = flag
-                elif key in file_cfg:
-                    cfg[key] = file_cfg[key]
+            schema = EXPERIMENTS[args.cmd][2]
+            cfg.update((k, v) for k, v in vars(args).items() if k in schema and v is not None)
             report, code, csv_payload = run_config(args.cmd, cfg, jobs=args.jobs)
         data = write_report(report, args.report)
         if not args.report:

@@ -17,6 +17,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .core import (
     RUNNING,
+    ConfigError,
     JointEntry,
     JointInput,
     PartyProgram,
@@ -28,7 +29,7 @@ from .core import (
 )
 from .stats import wilson_interval
 
-DEFAULT_MESSAGE_CAP = 4096
+MESSAGE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,13 @@ class EquivocatorAdversary(AdversaryStrategy):
         return state, out
 
 
-def _route_check(topology: Topology, src: int, dst: int, payload: bytes, cap: int) -> None:
+def _route_check(topology: Topology, src: int, dst: int, payload: bytes) -> None:
     if dst == src or not topology.has_edge(src, dst):
         raise TopologyViolation(f"no edge {src}->{dst}")
     if not isinstance(payload, bytes):
         raise SpecViolation(f"message {src}->{dst} is not bytes")
-    if len(payload) > cap:
-        raise SpecViolation(f"message {src}->{dst} exceeds {cap} byte cap ({len(payload)})")
+    if len(payload) > MESSAGE_CAP:
+        raise SpecViolation(f"message {src}->{dst} exceeds {MESSAGE_CAP} byte cap ({len(payload)})")
 
 
 def _execute(
@@ -209,7 +210,6 @@ def _execute(
     record: bool = False,
     probe_halted: bool = False,
     enforce_round_bound: bool = True,
-    message_cap: int = DEFAULT_MESSAGE_CAP,
 ) -> ExecutionResult:
     n = spec.n
     topo = topology or Topology.complete(n)
@@ -279,14 +279,14 @@ def _execute(
                 if spec.programs[i].finished(states[i]) != outcomes[i]:
                     probe_violations.append(f"party {i} outcome drift after halt (round {r})")
         for src, dst, payload in sends:
-            _route_check(topo, src, dst, payload, message_cap)
+            _route_check(topo, src, dst, payload)
 
         if adversary is not None:
             adv_state, outbound = adversary.step(adv_state, r, adv_pending)
             for (src, dst), payload in outbound.items():
                 if src not in corrupted:
                     raise TopologyViolation(f"adversary sent from honest party {src}")
-                _route_check(topo, src, dst, payload, message_cap)
+                _route_check(topo, src, dst, payload)
                 sends.append((src, dst, payload))
 
         for i in running:
@@ -329,14 +329,12 @@ def _execute(
 def run_honest(spec: ProtocolSpec, joint: JointInput, seed: int, *,
                max_rounds: Optional[int] = None, topology: Optional[Topology] = None,
                record: bool = False, probe_halted: bool = False,
-               enforce_round_bound: bool = True,
-               message_cap: int = DEFAULT_MESSAGE_CAP) -> ExecutionResult:
+               enforce_round_bound: bool = True) -> ExecutionResult:
     """All-honest lockstep run from a JointInput and a master seed."""
     joint.validate(spec)
     return _execute(
         spec, joint, seed, max_rounds=max_rounds, topology=topology, record=record,
         probe_halted=probe_halted, enforce_round_bound=enforce_round_bound,
-        message_cap=message_cap,
     )
 
 
@@ -344,8 +342,7 @@ def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
                        joint: JointInput | dict[int, JointEntry], seed: int, *,
                        max_rounds: Optional[int] = None,
                        topology: Optional[Topology] = None, record: bool = False,
-                       enforce_round_bound: bool = True,
-                       message_cap: int = DEFAULT_MESSAGE_CAP) -> ExecutionResult:
+                       enforce_round_bound: bool = True) -> ExecutionResult:
     """Run with the adversary substituted for its corrupted parties.
 
     The adversary never observes honest-to-honest traffic; its view is the
@@ -355,7 +352,6 @@ def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
     return _execute(
         spec, joint, seed, adversary=adversary, max_rounds=max_rounds,
         topology=topology, record=record, enforce_round_bound=enforce_round_bound,
-        message_cap=message_cap,
     )
 
 
@@ -403,7 +399,7 @@ def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[Adversar
     function of (spec, family, trials, seed).
     """
     if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
+        raise ConfigError("need at least 100 trials for a meaningful estimate")
     per = []
     pooled_fail = 0
     pooled_total = 0

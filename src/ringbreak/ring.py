@@ -475,6 +475,8 @@ def partition_to_three(n: int, t: int, corrupted: Sequence[int]) -> Partition:
     Dishonest-majority regime (t >= n/2): sizes (ceil((n-1)/2), floor((n-1)/2), 1).
     B1 takes the smallest non-corrupted indices, B2 the rest.
     """
+    if n < 3:
+        raise ConfigError(f"the reduction to three parties needs n >= 3, got n={n}")
     corrupt = tuple(sorted(set(corrupted)))
     if any(i < 0 or i >= n for i in corrupt):
         raise ConfigError("corrupted indices out of range")

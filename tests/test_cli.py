@@ -1,6 +1,9 @@
 """End-to-end CLI runs: exit codes, report plumbing, reruns, seeds."""
 
 import json
+import re
+
+import pytest
 
 import ringbreak.cli as cli
 from ringbreak.cli import main
@@ -105,6 +108,17 @@ class TestAttack:
         assert code2 == 0
         assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
+    def test_q_expected_rejected_for_strict_variant(self, tmp_path, capsys):
+        # the strict ring ignores q_expected, so accepting it would embed an
+        # unused value in the report config
+        args = ["attack", "--protocol", "echo_xor:2", "--t", "1", "--trials", "2",
+                "--seed", "1", "--delta-trials", "100"]
+        code, rep = run(tmp_path, *args, "--q-expected", "9")
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err.startswith("error: --q-expected")
+        code, rep = run(tmp_path, *args)
+        assert code == 0 and rep["config"]["q_expected"] is None
+
     def test_rerun_rejects_non_report(self, tmp_path):
         bogus = tmp_path / "x.json"
         bogus.write_text("{}")
@@ -153,6 +167,37 @@ class TestConfigPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "k,weak,strong,y_star"
         assert len(lines) == 4  # one row per k
+
+
+COMMON_FLAGS = {"--config", "--report", "--csv", "--jobs"}
+
+
+@pytest.mark.parametrize("kind", [*cli.EXPERIMENTS, "rerun"])
+def test_help_lists_one_flag_per_config_key(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+    if kind == "rerun":
+        want = {"--from"}
+    else:
+        want = {"--" + key.replace("_", "-") for key in cli.EXPERIMENTS[kind][2]
+                if key != "table_data"}
+    assert listed == want | COMMON_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["consistency", "--protocol", "xor_exchange", "--trials", "50"],
+    ["attack", "--protocol", "const:1", "--t", "1", "--trials", "5", "--delta-trials", "50"],
+    ["attack", "--protocol", "const:1", "--n", "2", "--t", "1"],
+    ["compile", "--builtin", "thresh:2:6", "--t", "2", "--mc-trials", "-5"],
+], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
+        "compile-negative-mc-trials"])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    assert main([*argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestDominanceCommand:

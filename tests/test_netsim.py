@@ -3,6 +3,7 @@
 import pytest
 
 from ringbreak.core import (
+    ConfigError,
     JointEntry,
     JointInput,
     PartyProgram,
@@ -14,6 +15,7 @@ from ringbreak.core import (
     TopologyViolation,
 )
 from ringbreak.netsim import (
+    MESSAGE_CAP,
     AdversaryStrategy,
     EquivocatorAdversary,
     PassiveAdversary,
@@ -96,13 +98,14 @@ class _Laggard(PartyProgram):
         return b"\x00" if state >= self.rounds else None
 
 
-class _IntSender(PartyProgram):
-    """Puts an int, not bytes, in its round-1 outbox."""
+class _OneShot(PartyProgram):
+    """Puts `payload` in its round-1 outbox to the other party, then halts."""
 
-    role_id = "int-sender"
+    role_id = "one-shot"
 
-    def __init__(self, me):
+    def __init__(self, me, payload):
         self.me = me
+        self.payload = payload
 
     def init(self, input_bytes, coins):
         return 0
@@ -110,10 +113,19 @@ class _IntSender(PartyProgram):
     def step(self, state, round_no, inbox):
         if state >= 1:
             return state, {}
-        return 1, {1 - self.me: 7}
+        return 1, {1 - self.me: self.payload}
 
     def finished(self, state):
         return b"\x00" if state >= 1 else None
+
+
+def one_shot_spec(payload):
+    return ProtocolSpec(
+        name="one-shot",
+        programs=(_OneShot(0, payload), _OneShot(1, payload)),
+        round_bound=RoundBound("strict", 1),
+        domains=(RawInput(1), RawInput(1)),
+    )
 
 
 class TestStrictEnforcement:
@@ -162,17 +174,14 @@ class TestTopology:
                        topology=Topology.cycle(4))
 
     def test_message_cap_enforced(self):
-        spec = make_xor_exchange(3)
-        with pytest.raises(SpecViolation):
-            run_honest(spec, bits_joint(spec, (1, 0, 0)), 1, message_cap=0)
+        spec = one_shot_spec(bytes(MESSAGE_CAP))
+        assert run_honest(spec, JointInput.zeros(spec), 1).outcomes == [b"\x00"] * 2
+        spec = one_shot_spec(bytes(MESSAGE_CAP + 1))
+        with pytest.raises(SpecViolation, match="byte cap"):
+            run_honest(spec, JointInput.zeros(spec), 1)
 
     def test_non_bytes_payload_is_a_spec_violation(self):
-        spec = ProtocolSpec(
-            name="int-sender",
-            programs=(_IntSender(0), _IntSender(1)),
-            round_bound=RoundBound("strict", 1),
-            domains=(RawInput(1), RawInput(1)),
-        )
+        spec = one_shot_spec(7)
         with pytest.raises(SpecViolation, match="not bytes"):
             run_honest(spec, JointInput.zeros(spec), 1)
 
@@ -267,7 +276,7 @@ class TestConsistency:
 
     def test_estimate_needs_trials(self):
         spec = make_spec("const:0", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             estimate_consistency(spec, embedding_family(spec, 4), 10, 1)
 
     def test_estimate_shape_and_determinism(self):
