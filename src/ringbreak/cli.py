@@ -60,8 +60,8 @@ from .ring import (
     attack_n_party,
     attack_ring_size,
     embedding_family,
-    fuse_parties,
     partition_to_three,
+    three_party_form,
 )
 from .stats import proportion_sigma, wilson_interval
 from .zoo import ZOO, make_spec
@@ -191,7 +191,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     trials = cfg["trials"]
     if trials < 1:
         raise ConfigError("need at least one trial")
-    fused = fuse_parties(spec, partition_to_three(n, t, corrupt))
+    spec3 = three_party_form(spec, partition_to_three(n, t, corrupt))
 
     chunk = max(1, math.ceil(trials / max(1, jobs * 4)))
     tasks = [(cfg, lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)]
@@ -211,7 +211,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     delta_trials = cfg["delta_trials"]
     if delta_trials is None:
         delta_trials = max(100, trials // (2 * m))
-    consistency = estimate_consistency(fused, embedding_family(fused, m),
+    consistency = estimate_consistency(spec3, embedding_family(spec3, m),
                                        delta_trials, derive_seed(cfg["seed"], "delta"))
     delta_hat = consistency.delta_hat
 
@@ -360,6 +360,8 @@ def cmd_compile(cfg: dict, jobs: int = 1):
         raise ConfigError(f"need {n} inputs, got {len(inputs)}")
     corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else list(range(n - t, n))
     cfg["corrupt"] = list(corrupt)
+    if any(not 0 <= i < n for i in corrupt):
+        raise ConfigError(f"corrupted ids must lie in 0..{n - 1}, got {corrupt}")
     if len(corrupt) > wrapped.t2:
         raise ConfigError(f"coalition of {len(corrupt)} exceeds t2={wrapped.t2}")
     adv = _parse_hybrid_adv(cfg["adv"], corrupt, inputs)
@@ -520,6 +522,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_value(key: str, value, default) -> None:
+    """Reject a config value its flag could not have produced; null only
+    where the default is null."""
+    if value is None:
+        if default is not None:
+            raise ConfigError(f"config key {key!r} cannot be null")
+        return
+    flag = FLAGS[key]
+    kind = flag.get("type", str)
+    if "choices" in flag:
+        ok, want = value in flag["choices"], "one of " + ", ".join(flag["choices"])
+    elif kind is int:
+        ok, want = _is_int(value), "an integer"
+    elif kind is _parse_int_list:
+        ok, want = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def run_config(kind: str, cfg: dict, jobs: int = 1) -> tuple[dict, int, Any]:
     """Execute one experiment config; returns (report, exit_code, csv payload)."""
     if kind not in EXPERIMENTS:
@@ -528,6 +555,9 @@ def run_config(kind: str, cfg: dict, jobs: int = 1) -> tuple[dict, int, Any]:
     unknown = set(cfg) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys for {kind}: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if key != "table_data":  # FunctionTable.from_json checks it
+            _check_value(key, value, schema[key])
     merged = {**schema, **cfg}
     if "seed" in schema:
         merged["seed"] = _seed_fallback(merged["seed"])
@@ -535,26 +565,28 @@ def run_config(kind: str, cfg: dict, jobs: int = 1) -> tuple[dict, int, Any]:
     return make_report(kind, merged, body), code, csv_payload
 
 
+def _load_object(path: str, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {what}: {e}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    return data
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.cmd == "rerun":
-            with open(args.from_path) as fh:
-                old = json.load(fh)
-            if "kind" not in old or "config" not in old:
-                raise ConfigError("not a ringbreak report: missing kind/config")
+            old = _load_object(args.from_path, "report")
+            if not isinstance(old.get("kind"), str) or not isinstance(old.get("config"), dict):
+                raise ConfigError("not a ringbreak report: needs a kind and a config object")
             report, code, csv_payload = run_config(old["kind"], old["config"], jobs=args.jobs)
         else:
-            cfg = {}
-            if args.config:
-                try:
-                    with open(args.config) as fh:
-                        cfg = json.load(fh)
-                except (OSError, json.JSONDecodeError) as e:
-                    raise ConfigError(f"cannot read config file: {e}")
-                if not isinstance(cfg, dict):
-                    raise ConfigError("config file must hold a JSON object")
+            cfg = _load_object(args.config, "config file") if args.config else {}
             schema = EXPERIMENTS[args.cmd][2]
             cfg.update((k, v) for k, v in vars(args).items() if k in schema and v is not None)
             report, code, csv_payload = run_config(args.cmd, cfg, jobs=args.jobs)

@@ -26,7 +26,6 @@ from typing import Optional
 from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, derive_seed
 from .netsim import AdversaryStrategy, ConsistencyReport, estimate_consistency, run_honest, run_with_adversary
 from .ring import (
-    AttackAdversary,
     AttackPhase1Result,
     attack_n_party,
     attack_ring_size,
@@ -169,31 +168,23 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
         raise ConfigError(f"bias attack corrupts exactly ceil(n/3)={want} parties")
     if kappa < 1:
         raise ConfigError("need kappa >= 1 attempts")
-    last_phase1 = None
+    if (n - len(corrupt)) % 2 != 0:
+        raise ConfigError(
+            f"no integral threshold pairs n={n} with a coalition of {len(corrupt)}")
+    t = (n - len(corrupt)) // 2
     for attempt in range(1, kappa + 1):
-        aseed = derive_seed(seed, "bias-attack", attempt)
-        if n == 3:
-            phase1 = phase1_strict(spec, aseed)
-            adv: AdversaryStrategy = AttackAdversary(phase1, frozenset(corrupt))
-        else:
-            if (n - len(corrupt)) % 2 != 0:
-                raise ConfigError(
-                    f"no integral threshold pairs n={n} with a coalition of {len(corrupt)}")
-            t = (n - len(corrupt)) // 2
-            atk = attack_n_party(spec, t, corrupt, aseed)
-            phase1, adv = atk.phase1, atk.adversary
-        last_phase1 = phase1
-        y = phase1.y_star
+        atk = attack_n_party(spec, t, corrupt, derive_seed(seed, "bias-attack", attempt))
+        y = atk.y_star
         if y not in (b"\x00", b"\x01"):
             raise ConfigError(
                 f"{spec.name} produced non-bit value {y!r}; not a coin-flip protocol")
         if y != exclude:
             return BiasAttackResult(aborted=False, attempts=attempt, kappa=kappa,
                                     excluded=exclude, y_star=y, corrupted=corrupt,
-                                    adversary=adv, phase1=phase1)
+                                    adversary=atk.adversary, phase1=atk.phase1)
     return BiasAttackResult(aborted=True, attempts=kappa, kappa=kappa, excluded=exclude,
                             y_star=None, corrupted=corrupt, adversary=None,
-                            phase1=last_phase1)
+                            phase1=atk.phase1)
 
 
 @dataclass

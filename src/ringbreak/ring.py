@@ -13,7 +13,8 @@ ring, whose far slot's output it announces before the first message is sent.
 
 The n-party reduction partitions the parties into three groups and fuses each
 group into one super-party, turning any n-party protocol into a 3-party one
-with the same round structure.
+with the same round structure. At n = 3 every group is one party, so a
+3-party protocol is attacked as it is.
 """
 
 from __future__ import annotations
@@ -415,6 +416,8 @@ class NeighborEmbeddingAdversary(RingBridge):
 
 def embedding_family(spec3: ProtocolSpec, m: int) -> list[NeighborEmbeddingAdversary]:
     """The j-indexed family the consistency estimate runs against."""
+    if m < 2:
+        raise ConfigError(f"the embedding family needs m >= 2 copies, got m={m}")
     return [NeighborEmbeddingAdversary(spec3, m, j) for j in range(1, m + 1)]
 
 
@@ -467,6 +470,11 @@ class Partition:
     def corrupted(self) -> tuple[int, ...]:
         return self.groups[2]
 
+    @property
+    def group_of(self) -> dict[int, int]:
+        """Member party -> index of its group."""
+        return {p: g for g, grp in enumerate(self.groups) for p in grp}
+
 
 def partition_to_three(n: int, t: int, corrupted: Sequence[int]) -> Partition:
     """Deterministic partition (B1, B2, I) used by the n-party reduction.
@@ -511,7 +519,7 @@ class FusedProgram(PartyProgram):
         self.partition = partition
         self.gid = gid
         self.members = partition.groups[gid]
-        self.group_of = {p: g for g, grp in enumerate(partition.groups) for p in grp}
+        self.group_of = partition.group_of
         self.role_id = f"fused{gid}({','.join(map(str, self.members))})"
 
     def init(self, input_bytes, coins):
@@ -582,7 +590,7 @@ class UnfusedAttackAdversary(AdversaryStrategy):
         self.partition = partition
         self.inner = inner
         self.corrupted = frozenset(partition.corrupted)
-        self.group_of = {p: g for g, grp in enumerate(partition.groups) for p in grp}
+        self.group_of = partition.group_of
 
     def describe(self) -> str:
         return f"nparty-attack[I={sorted(self.corrupted)}]"
@@ -611,37 +619,47 @@ class UnfusedAttackAdversary(AdversaryStrategy):
 
 @dataclass
 class NPartyAttack:
-    """Everything attack_n_party prepared: partition, fused pieces, adversary."""
+    """Everything attack_n_party prepared: partition, the 3-party protocol
+    phase 1 ran on (`spec` itself at n = 3), phase 1, adversary."""
 
     spec: ProtocolSpec
     partition: Partition
     fused_spec: ProtocolSpec
     phase1: AttackPhase1Result
-    adversary: Optional[UnfusedAttackAdversary]
+    adversary: Optional[AdversaryStrategy]
 
     @property
     def y_star(self) -> Optional[bytes]:
         return self.phase1.y_star
 
 
+def three_party_form(spec: ProtocolSpec, partition: Partition) -> ProtocolSpec:
+    """The 3-party protocol the ring attack breaks: `spec` itself when every
+    group is a single party (n = 3), else the fused protocol of the groups."""
+    return spec if spec.n == 3 else fuse_parties(spec, partition)
+
+
 def attack_n_party(spec: ProtocolSpec, t: int, corrupted: Sequence[int], seed: int, *,
                    variant: str = "strict", q_expected: Optional[int] = None,
                    z: int = 16) -> NPartyAttack:
-    """Build the full n-party attack: partition, fuse, phase 1, bridge."""
+    """Build the full n-party attack: partition, fuse (n >= 4), phase 1, bridge."""
     partition = partition_to_three(spec.n, t, corrupted)
-    fused = fuse_parties(spec, partition)
+    spec3 = three_party_form(spec, partition)
     if variant == "strict":
         if not spec.round_bound.strict:
             raise ConfigError("strict attack needs a strict-round protocol")
-        phase1 = phase1_strict(fused, seed)
+        phase1 = phase1_strict(spec3, seed)
     elif variant == "expected":
         if q_expected is None:
             q_expected = spec.q
-        phase1 = phase1_expected(fused, q_expected, z, seed)
+        phase1 = phase1_expected(spec3, q_expected, z, seed)
         if phase1.aborted:
-            return NPartyAttack(spec, partition, fused, phase1, None)
+            return NPartyAttack(spec, partition, spec3, phase1, None)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    inner = AttackAdversary(phase1, frozenset({2}))
-    return NPartyAttack(spec, partition, fused, phase1,
-                        UnfusedAttackAdversary(spec, partition, inner))
+    if spec3 is spec:
+        adversary = AttackAdversary(phase1, frozenset(partition.corrupted))
+    else:
+        adversary = UnfusedAttackAdversary(spec, partition,
+                                           AttackAdversary(phase1, frozenset({2})))
+    return NPartyAttack(spec, partition, spec3, phase1, adversary)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import ringbreak.cli as cli
+import ringbreak.ring as ring
 from ringbreak.cli import main
 from ringbreak.core import derive_seed
 from ringbreak.ring import attack_n_party
@@ -99,6 +100,22 @@ class TestAttack:
             seen.add(got)
         assert len(seen) == len(configs)  # each config exercises its own ring
 
+    def test_three_party_attack_runs_unfused(self, monkeypatch):
+        # n=3 attacks the protocol as it is; n=9 fuses groups of three
+        calls = []
+        real = ring.FusedProgram.step
+
+        def counting(self, *args):
+            calls.append(args[1])  # round number
+            return real(self, *args)
+
+        monkeypatch.setattr(ring.FusedProgram, "step", counting)
+        for protocol, n, t, fused in (("echo_xor:2", 3, 1, False), ("or_exchange", 9, 3, True)):
+            calls.clear()
+            cli.run_config("attack", {"protocol": protocol, "n": n, "t": t, "trials": 2,
+                                      "delta_trials": 100, "seed": 3})
+            assert bool(calls) == fused, protocol
+
     def test_rerun_is_byte_identical(self, tmp_path):
         code, _ = run(tmp_path, "attack", "--protocol", "const:1", "--t", "1",
                       "--trials", "30", "--seed", "9", name="first.json")
@@ -191,10 +208,40 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
     ["attack", "--protocol", "const:1", "--t", "1", "--trials", "5", "--delta-trials", "50"],
     ["attack", "--protocol", "const:1", "--n", "2", "--t", "1"],
     ["compile", "--builtin", "thresh:2:6", "--t", "2", "--mc-trials", "-5"],
+    ["compile", "--builtin", "thresh:2:6", "--t", "2", "--corrupt", "9,10"],
+    ["consistency", "--protocol", "echo_xor:2", "--m", "0"],
+    ["coinflip", "--protocol", "geom_halt:0.5", "--mode", "attack"],
 ], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
-        "compile-negative-mc-trials"])
+        "compile-negative-mc-trials", "compile-corrupt-out-of-range",
+        "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds"])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert main([*argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+ATTACK_CFG = {"protocol": "const:1", "t": 1, "trials": 5}
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--config", json.dumps({**ATTACK_CFG, "trials": "5"})),
+    ("--config", json.dumps({**ATTACK_CFG, "trials": None})),
+    ("--config", json.dumps({**ATTACK_CFG, "corrupt": "2"})),
+    ("--config", json.dumps({**ATTACK_CFG, "t": True})),
+    ("--config", json.dumps({**ATTACK_CFG, "protocol": 3})),
+    ("--config", json.dumps({**ATTACK_CFG, "seed": "3"})),
+    ("--from", json.dumps(["kind", "config"])),
+    ("--from", '{"kind": "attack", "config": '),
+    ("--from", json.dumps({"kind": "attack", "config": ["protocol"]})),
+], ids=["trials-string", "trials-null", "corrupt-string", "t-bool", "protocol-int",
+        "seed-string", "report-list", "report-malformed", "report-config-list"])
+def test_bad_json_file_is_a_usage_error(flag, text, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = ["rerun", "--from", str(path)] if flag == "--from" else \
+        ["attack", "--config", str(path)]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

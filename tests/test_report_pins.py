@@ -47,6 +47,11 @@ PINNED = [
      "ed35587e0e6ba7c90eadb70c0435d3a4777aa328b70fa9ef95521c866842450b"),
     ("validate", {"protocol": "fair_coin", "trials": 10, "seed": 2},
      "f39c5ee6c9667db30cc3218f8b27a6afc60612ecdf5230c980a2ff2dfb435c38"),
+    # a strict attack at n=3 on a protocol that reads coins: phase 1 runs on
+    # the protocol itself, so its coins carry no fused member sub-label
+    ("attack", {"protocol": "fair_coin", "n": 3, "t": 1, "trials": 40, "seed": 2,
+                "delta_trials": 100},
+     "3c2dba4e8bc364be5b2bf637dac304dff97aa198102c54a2d4360f67f224a9ac"),
 ]
 
 

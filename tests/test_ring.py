@@ -404,6 +404,19 @@ class TestNPartyAttack:
         res = run_with_adversary(spec, atk.adversary, joint, 11)
         assert res.honest_outcomes() == [b"\x01"] * 5
 
+    def test_three_parties_attacked_as_they_are(self):
+        # n=3 runs phase 1 on the protocol itself: the same coins as
+        # phase1_strict, and a plain AttackAdversary for the corrupted party
+        spec = make_spec("fair_coin", 3)
+        for corrupted in ((2,), (0,)):
+            for seed in range(16):
+                atk = attack_n_party(spec, 1, corrupted, seed)
+                p1 = phase1_strict(spec, seed)
+                got = (atk.phase1.y_star, atk.phase1.seed, atk.phase1.w)
+                assert got == (p1.y_star, p1.seed, p1.w), (corrupted, seed)
+                assert isinstance(atk.adversary, AttackAdversary)
+                assert atk.adversary.corrupted == frozenset(corrupted)
+
     def test_strict_variant_needs_strict_bound(self):
         spec = make_geom_halt(5, 0.5)
         with pytest.raises(ConfigError):
