@@ -84,7 +84,6 @@ from .netsim import (
     EquivocatorAdversary,
     ExecutionResult,
     PassiveAdversary,
-    Topology,
     check_consistency,
     estimate_consistency,
     result_fingerprint,

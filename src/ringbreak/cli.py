@@ -42,6 +42,7 @@ from .core import (
     validate_spec,
 )
 from .dominance import (
+    PROFILE_BUDGET,
     FunctionTable,
     and_table,
     classify,
@@ -90,26 +91,35 @@ def _seed_fallback(value: Optional[int]) -> int:
     return 1
 
 
-def _builtin_table(selector: str) -> FunctionTable:
-    parts = selector.split(":")
-    name, params = parts[0], parts[1:]
+# builtin table name -> (parameter count, builder); the last parameter is the
+# party count n, and every builtin but `pairs` (n=4) has 2^n cells
+BUILTINS: dict[str, tuple[int, Callable[..., FunctionTable]]] = {
+    "or": (1, or_table),
+    "and": (1, and_table),
+    "xor": (1, xor_table),
+    "thresh": (2, lambda k, n: threshold_table(n, k)),
+    "const": (2, lambda c, n: constant_table(n, c)),
+    "pairs": (0, pair_and_or_table),
+}
+
+
+def _builtin_table(selector: str, budget: int) -> FunctionTable:
+    """Build a builtin table, refusing one over `budget` cells before building it."""
+    name, *params = selector.split(":")
+    if name not in BUILTINS:
+        raise ConfigError(f"unknown builtin table {name!r} "
+                          "(have or:N, and:N, xor:N, thresh:K:N, const:C:N, pairs)")
+    arity, build = BUILTINS[name]
     try:
-        if name == "or":
-            return or_table(int(params[0]))
-        if name == "and":
-            return and_table(int(params[0]))
-        if name == "xor":
-            return xor_table(int(params[0]))
-        if name == "thresh":
-            return threshold_table(int(params[1]), int(params[0]))
-        if name == "const":
-            return constant_table(int(params[1]), int(params[0]))
-        if name == "pairs":
-            return pair_and_or_table()
-    except (IndexError, ValueError):
+        args = [int(x) for x in params[:arity]]
+        if len(args) < arity:
+            raise ValueError
+    except ValueError:
         raise ConfigError(f"malformed builtin table selector {selector!r}")
-    raise ConfigError(f"unknown builtin table {name!r} "
-                      "(have or:N, and:N, xor:N, thresh:K:N, const:C:N, pairs)")
+    cells = 2 ** args[-1] if args else 16
+    if cells > budget:
+        raise ConfigError(f"table has {cells} entries, over the budget {budget}")
+    return build(*args)
 
 
 def _load_table(cfg: dict) -> FunctionTable:
@@ -124,7 +134,7 @@ def _load_table(cfg: dict) -> FunctionTable:
             raise ConfigError(f"cannot read table file: {e}")
         table = FunctionTable.from_json(raw)
     elif cfg.get("builtin"):
-        table = _builtin_table(cfg["builtin"])
+        table = _builtin_table(cfg["builtin"], cfg.get("budget", PROFILE_BUDGET))
     else:
         raise ConfigError("need --table FILE or --builtin SELECTOR")
     cfg["table_data"] = json.loads(table.to_json())
@@ -464,7 +474,8 @@ FLAGS: dict[str, dict[str, Any]] = {
     "collapse_m": {"type": int, "help": "also check weak=>strong at this m"},
     "budget": {"type": int},
     "mode": {"choices": ["honest", "attack", "verify"]},
-    "kappa": {"type": int},
+    "kappa": {"type": int, "help": "offline attempts of the bias search; "
+                                   "it aborts with probability <= 2^-kappa"},
     "adv": {"help": "never | abort | coin:P"},
     "inputs": {"type": _parse_int_list},
     "mc_trials": {"type": int},
@@ -541,6 +552,8 @@ def _check_value(key: str, value, default) -> None:
         ok, want = _is_int(value), "an integer"
     elif kind is _parse_int_list:
         ok, want = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+        if ok and key == "corrupt" and len(set(value)) < len(value):
+            ok, want = False, "a list of distinct integers"
     else:
         ok, want = isinstance(value, str), "a string"
     if not ok:

@@ -262,6 +262,8 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     family the consistency argument consumes) and sigma the standard error
     of the forced-bucket frequency.
     """
+    if not spec.round_bound.strict:
+        raise ConfigError("strict attack needs a strict-round protocol")
     n = spec.n
     if corrupted is None:
         want = math.ceil(n / 3)

@@ -147,7 +147,6 @@ class HybridAdversary:
     can be enumerated instead of sampled.
     """
 
-    name: str
     corrupted: tuple[int, ...]
     branches: tuple[tuple[Fraction, IdealDecision], ...]
 
@@ -173,22 +172,21 @@ class HybridAdversary:
         return len(self.branches) - 1, self.branches[-1][1]
 
 
-def never_abort_adversary(corrupted: Sequence[int], inputs: dict[int, Token],
-                          name: str = "forward") -> HybridAdversary:
-    return HybridAdversary(name, tuple(sorted(corrupted)),
+def never_abort_adversary(corrupted: Sequence[int], inputs: dict[int, Token]) -> HybridAdversary:
+    return HybridAdversary(tuple(sorted(corrupted)),
                            ((Fraction(1), IdealDecision.substitute(inputs)),))
 
 
-def always_abort_adversary(corrupted: Sequence[int], name: str = "abort") -> HybridAdversary:
-    return HybridAdversary(name, tuple(sorted(corrupted)),
+def always_abort_adversary(corrupted: Sequence[int]) -> HybridAdversary:
+    return HybridAdversary(tuple(sorted(corrupted)),
                            ((Fraction(1), IdealDecision.make_abort()),))
 
 
 def coin_abort_adversary(corrupted: Sequence[int], p_abort: Fraction,
-                         inputs: dict[int, Token], name: str = "coin-abort") -> HybridAdversary:
+                         inputs: dict[int, Token]) -> HybridAdversary:
     if not 0 < p_abort < 1:
         raise ConfigError("abort probability must be strictly between 0 and 1")
-    return HybridAdversary(name, tuple(sorted(corrupted)), (
+    return HybridAdversary(tuple(sorted(corrupted)), (
         (p_abort, IdealDecision.make_abort()),
         (Fraction(1) - p_abort, IdealDecision.substitute(inputs)),
     ))

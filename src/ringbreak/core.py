@@ -345,6 +345,8 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
     """
     from . import netsim  # engine lives one layer up; import here to avoid a cycle
 
+    if trials < 1:
+        raise ConfigError("validate needs at least one trial")
     report = ValidationReport(spec.name, trials)
     first_hash = None
     for trial in range(trials):
@@ -357,7 +359,7 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
             res = netsim.run_honest(
                 spec, joint, tseed,
                 max_rounds=cap,
-                record=True, probe_halted=True, enforce_round_bound=False,
+                record=True, probe_halted=True,
             )
         except SpecViolation as e:
             report.violations.append(f"trial {trial}: {e}")
@@ -375,7 +377,7 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
             res2 = netsim.run_honest(
                 spec, joint, tseed,
                 max_rounds=cap,
-                record=True, probe_halted=True, enforce_round_bound=False,
+                record=True, probe_halted=True,
             )
             h2 = netsim.result_fingerprint(res2)
             if h1 != h2:

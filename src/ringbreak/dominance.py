@@ -377,10 +377,8 @@ def threshold_table(n: int, k: int) -> FunctionTable:
     return table_from_fn(n, [2] * n, lambda *xs: int(sum(xs) >= k), name=f"{k}of{n}")
 
 
-def constant_table(n: int, c: Token, domains: Optional[Sequence[int]] = None) -> FunctionTable:
-    domains = tuple(domains) if domains is not None else (2,) * n
-    return FunctionTable(n=n, domains=domains, outputs=(c,) * prod(domains),
-                         name=f"const{c!r}")
+def constant_table(n: int, c: Token) -> FunctionTable:
+    return FunctionTable(n=n, domains=(2,) * n, outputs=(c,) * 2 ** n, name=f"const{c!r}")
 
 
 def pair_and_or_table() -> FunctionTable:

@@ -32,38 +32,6 @@ from .stats import wilson_interval
 MESSAGE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Directed-symmetric communication graph; no self loops."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]  # unordered pairs stored as sorted tuples
-
-    @staticmethod
-    def complete(n: int) -> "Topology":
-        return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-    @staticmethod
-    def cycle(n: int) -> "Topology":
-        if n < 3:
-            raise ValueError("cycle needs >= 3 nodes")
-        return Topology(n, frozenset(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
-
-
 # Transcript record: (round, sender, receiver, payload).
 TranscriptRecord = tuple[int, int, int, bytes]
 # One message of one round: (sender, receiver, payload).
@@ -190,8 +158,9 @@ class EquivocatorAdversary(AdversaryStrategy):
         return state, out
 
 
-def _route_check(topology: Topology, src: int, dst: int, payload: bytes) -> None:
-    if dst == src or not topology.has_edge(src, dst):
+def _route_check(n: int, src: int, dst: int, payload: bytes) -> None:
+    """Every run is on the complete graph: any two distinct parties share an edge."""
+    if dst == src or not 0 <= dst < n:
         raise TopologyViolation(f"no edge {src}->{dst}")
     if not isinstance(payload, bytes):
         raise SpecViolation(f"message {src}->{dst} is not bytes")
@@ -206,14 +175,13 @@ def _execute(
     *,
     adversary: Optional[AdversaryStrategy] = None,
     max_rounds: Optional[int] = None,
-    topology: Optional[Topology] = None,
     record: bool = False,
     probe_halted: bool = False,
-    enforce_round_bound: bool = True,
 ) -> ExecutionResult:
     n = spec.n
-    topo = topology or Topology.complete(n)
     corrupted = adversary.corrupted if adversary is not None else frozenset()
+    # a strict spec is held to its declared bound unless the caller sets its own cap
+    strict_q = spec.q if spec.round_bound.strict and max_rounds is None else None
     if max_rounds is None:
         max_rounds = 4 * spec.q if spec.round_bound.strict else 64 * spec.q
 
@@ -250,7 +218,6 @@ def _execute(
     pending: dict[int, dict[int, bytes]] = {}
     adv_pending: dict[tuple[int, int], bytes] = {}
     honest_ids = [i for i in range(n) if i not in corrupted]
-    strict_q = spec.q if (spec.round_bound.strict and enforce_round_bound) else None
 
     r = 0
     rounds_executed = 0
@@ -279,14 +246,14 @@ def _execute(
                 if spec.programs[i].finished(states[i]) != outcomes[i]:
                     probe_violations.append(f"party {i} outcome drift after halt (round {r})")
         for src, dst, payload in sends:
-            _route_check(topo, src, dst, payload)
+            _route_check(n, src, dst, payload)
 
         if adversary is not None:
             adv_state, outbound = adversary.step(adv_state, r, adv_pending)
             for (src, dst), payload in outbound.items():
                 if src not in corrupted:
                     raise TopologyViolation(f"adversary sent from honest party {src}")
-                _route_check(topo, src, dst, payload)
+                _route_check(n, src, dst, payload)
                 sends.append((src, dst, payload))
 
         for i in running:
@@ -327,32 +294,29 @@ def _execute(
 
 
 def run_honest(spec: ProtocolSpec, joint: JointInput, seed: int, *,
-               max_rounds: Optional[int] = None, topology: Optional[Topology] = None,
-               record: bool = False, probe_halted: bool = False,
-               enforce_round_bound: bool = True) -> ExecutionResult:
-    """All-honest lockstep run from a JointInput and a master seed."""
+               max_rounds: Optional[int] = None, record: bool = False,
+               probe_halted: bool = False) -> ExecutionResult:
+    """All-honest lockstep run from a JointInput and a master seed.
+
+    Without `max_rounds` a strict spec must finish within its declared bound
+    (else `SpecViolation`); with it, the run is cut off there instead and
+    unfinished parties are reported RUNNING.
+    """
     joint.validate(spec)
-    return _execute(
-        spec, joint, seed, max_rounds=max_rounds, topology=topology, record=record,
-        probe_halted=probe_halted, enforce_round_bound=enforce_round_bound,
-    )
+    return _execute(spec, joint, seed, max_rounds=max_rounds, record=record,
+                    probe_halted=probe_halted)
 
 
 def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
                        joint: JointInput | dict[int, JointEntry], seed: int, *,
-                       max_rounds: Optional[int] = None,
-                       topology: Optional[Topology] = None, record: bool = False,
-                       enforce_round_bound: bool = True) -> ExecutionResult:
+                       record: bool = False) -> ExecutionResult:
     """Run with the adversary substituted for its corrupted parties.
 
     The adversary never observes honest-to-honest traffic; its view is the
     inbound bundles passed to step, which cover exactly the messages addressed
     to corrupted parties.
     """
-    return _execute(
-        spec, joint, seed, adversary=adversary, max_rounds=max_rounds,
-        topology=topology, record=record, enforce_round_bound=enforce_round_bound,
-    )
+    return _execute(spec, joint, seed, adversary=adversary, record=record)
 
 
 def check_consistency(result: ExecutionResult) -> bool:

@@ -42,7 +42,6 @@ from .netsim import (
     AdversaryStrategy,
     ExecutionResult,
     Send,
-    Topology,
     deliver,
     run_honest,
     step_parties,
@@ -171,17 +170,12 @@ def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *
     """Honest lockstep run of the ring, cut off after rounds_cap rounds.
 
     Slots that have not produced an Outcome by the cap are reported RUNNING;
-    the declared round bound is deliberately not enforced here because rings
-    are the attack surface, not the protocol under test.
+    passing the cap leaves the declared round bound unenforced, because rings
+    are the attack surface, not the protocol under test. Each slot reaches
+    only its two ring neighbours: `RingSlotProgram` refuses any other edge.
     """
-    spec = ring.engine_spec(overrides)
-    return run_honest(
-        spec, w, seed,
-        max_rounds=rounds_cap,
-        topology=Topology.cycle(ring.size),
-        record=record,
-        enforce_round_bound=False,
-    )
+    return run_honest(ring.engine_spec(overrides), w, seed, max_rounds=rounds_cap,
+                      record=record)
 
 
 def node_view(result: ExecutionResult, node: int) -> bytes:

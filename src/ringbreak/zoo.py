@@ -21,7 +21,7 @@ from .core import (
     RoundBound,
 )
 
-DEFAULT_KAPPA = 8
+INPUT_BYTES = 8
 
 
 def _bit(input_bytes: bytes) -> int:
@@ -244,52 +244,52 @@ def tuned_halt_probability(calls: int) -> float:
     return 1.0 - 2.0 ** (-1.0 / calls)
 
 
-def make_const(n: int, c: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_const(n: int, c: int) -> ProtocolSpec:
     return ProtocolSpec(
         name=f"const:{c}",
         programs=tuple(ConstProgram(n, i, c) for i in range(n)),
         round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(kappa) for _ in range(n)),
+        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_xor_exchange(n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_xor_exchange(n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="xor_exchange",
         programs=tuple(ExchangeProgram(n, i, "xor") for i in range(n)),
         round_bound=RoundBound("strict", 1),
-        domains=tuple(BitInput(kappa) for _ in range(n)),
+        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_or_exchange(n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_or_exchange(n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="or_exchange",
         programs=tuple(ExchangeProgram(n, i, "or") for i in range(n)),
         round_bound=RoundBound("strict", 1),
-        domains=tuple(BitInput(kappa) for _ in range(n)),
+        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_echo_xor(n: int, echoes: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_echo_xor(n: int, echoes: int) -> ProtocolSpec:
     return ProtocolSpec(
         name=f"echo_xor:{echoes}",
         programs=tuple(EchoXorProgram(n, i, echoes) for i in range(n)),
         round_bound=RoundBound("strict", echoes + 1),
-        domains=tuple(BitInput(kappa) for _ in range(n)),
+        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_fair_coin(n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_fair_coin(n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="fair_coin",
         programs=tuple(FairCoinProgram(n, i, "xor") for i in range(n)),
         round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(kappa) for _ in range(n)),
+        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_geom_halt(n: int, p: float, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_geom_halt(n: int, p: float) -> ProtocolSpec:
     if not 0.0 < p <= 1.0:
         raise ValueError("halt probability must be in (0, 1]")
     expected_q = max(1, math.ceil(1.0 / p))
@@ -297,16 +297,16 @@ def make_geom_halt(n: int, p: float, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec
         name=f"geom_halt:{p:g}",
         programs=tuple(GeomHaltProgram(n, i, p) for i in range(n)),
         round_bound=RoundBound("expected", expected_q),
-        domains=tuple(RawInput(kappa) for _ in range(n)),
+        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
-def make_coin_flash(n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_coin_flash(n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="coin_flash",
         programs=tuple(CoinFlashProgram(n, i) for i in range(n)),
         round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(kappa) for _ in range(n)),
+        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
     )
 
 
@@ -320,7 +320,7 @@ ZOO: dict[str, ZooEntry] = {
 }
 
 
-def make_spec(selector: str, n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec:
+def make_spec(selector: str, n: int) -> ProtocolSpec:
     """Build a zoo protocol from a CLI-style selector like 'echo_xor:2'."""
     name, _, arg = selector.partition(":")
     if name not in ZOO:
@@ -329,17 +329,17 @@ def make_spec(selector: str, n: int, kappa: int = DEFAULT_KAPPA) -> ProtocolSpec
         if name == "const":
             if arg == "":
                 raise ValueError("const needs a value, e.g. const:0")
-            return make_const(n, int(arg), kappa)
+            return make_const(n, int(arg))
         if name == "echo_xor":
             if arg == "":
                 raise ValueError("echo_xor needs an echo count, e.g. echo_xor:2")
-            return make_echo_xor(n, int(arg), kappa)
+            return make_echo_xor(n, int(arg))
         if name == "geom_halt":
             if arg == "":
                 raise ValueError("geom_halt needs a probability, e.g. geom_halt:0.25")
-            return make_geom_halt(n, float(arg), kappa)
+            return make_geom_halt(n, float(arg))
         if arg:
             raise ValueError(f"protocol {name} takes no parameter")
-        return ZOO[name].build(n, kappa)
+        return ZOO[name].build(n)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad protocol selector {selector!r}: {e}") from e

@@ -211,14 +211,41 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
     ["compile", "--builtin", "thresh:2:6", "--t", "2", "--corrupt", "9,10"],
     ["consistency", "--protocol", "echo_xor:2", "--m", "0"],
     ["coinflip", "--protocol", "geom_halt:0.5", "--mode", "attack"],
+    ["coinflip", "--protocol", "geom_halt:0.5", "--mode", "verify", "--trials", "1000"],
+    ["validate", "--protocol", "echo_xor:2", "--trials", "0"],
+    ["validate", "--protocol", "echo_xor:2", "--trials", "-3"],
+    ["attack", "--protocol", "const:1", "--t", "1", "--corrupt", "2,2", "--trials", "3",
+     "--delta-trials", "100"],
+    ["coinflip", "--mode", "attack", "--corrupt", "2,2", "--trials", "1000"],
+    ["compile", "--builtin", "thresh:3:9", "--t", "3", "--corrupt", "6,6,7"],
 ], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
         "compile-negative-mc-trials", "compile-corrupt-out-of-range",
-        "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds"])
+        "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds",
+        "coinflip-verify-on-expected-rounds", "validate-no-trials",
+        "validate-negative-trials", "attack-repeated-corrupt", "coinflip-repeated-corrupt",
+        "compile-repeated-corrupt"])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert main([*argv, "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominance", "--builtin", "or:5", "--budget", "16"],
+    ["compile", "--builtin", "or:5", "--t", "1"],
+], ids=["dominance-budget", "compile-profile-budget"])
+def test_oversized_builtin_table_is_refused_unbuilt(argv, monkeypatch, capsys):
+    import ringbreak.dominance as dominance
+
+    built = []
+    real = dominance.table_from_fn
+    monkeypatch.setattr(dominance, "table_from_fn",
+                        lambda *a, **kw: built.append(a[0]) or real(*a, **kw))
+    monkeypatch.setattr(cli, "PROFILE_BUDGET", 16)
+    assert main(argv) == 2
+    assert built == []
+    assert capsys.readouterr().err.startswith("error: table has 32 entries")
 
 
 ATTACK_CFG = {"protocol": "const:1", "t": 1, "trials": 5}
@@ -231,11 +258,13 @@ ATTACK_CFG = {"protocol": "const:1", "t": 1, "trials": 5}
     ("--config", json.dumps({**ATTACK_CFG, "t": True})),
     ("--config", json.dumps({**ATTACK_CFG, "protocol": 3})),
     ("--config", json.dumps({**ATTACK_CFG, "seed": "3"})),
+    ("--config", json.dumps({**ATTACK_CFG, "corrupt": [2, 2]})),
     ("--from", json.dumps(["kind", "config"])),
     ("--from", '{"kind": "attack", "config": '),
     ("--from", json.dumps({"kind": "attack", "config": ["protocol"]})),
 ], ids=["trials-string", "trials-null", "corrupt-string", "t-bool", "protocol-int",
-        "seed-string", "report-list", "report-malformed", "report-config-list"])
+        "seed-string", "corrupt-repeated", "report-list", "report-malformed",
+        "report-config-list"])
 def test_bad_json_file_is_a_usage_error(flag, text, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(text)

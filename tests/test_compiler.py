@@ -100,11 +100,11 @@ class TestDecisionsAndAdversaries:
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):
-            HybridAdversary("empty", (0,), ())
+            HybridAdversary((0,), ())
         with pytest.raises(ConfigError):
-            HybridAdversary("short", (0,), ((Fraction(1, 2), IdealDecision.make_abort()),))
+            HybridAdversary((0,), ((Fraction(1, 2), IdealDecision.make_abort()),))
         with pytest.raises(ConfigError):
-            HybridAdversary("neg", (0,), (
+            HybridAdversary((0,), (
                 (Fraction(-1, 2), IdealDecision.make_abort()),
                 (Fraction(3, 2), IdealDecision.substitute({})),
             ))

@@ -1,5 +1,7 @@
 """Engine semantics: delivery timing, flush, strict bounds, adversary plumbing."""
 
+import inspect
+
 import pytest
 
 from ringbreak.core import (
@@ -19,7 +21,6 @@ from ringbreak.netsim import (
     AdversaryStrategy,
     EquivocatorAdversary,
     PassiveAdversary,
-    Topology,
     check_consistency,
     estimate_consistency,
     result_fingerprint,
@@ -35,6 +36,15 @@ def bits_joint(spec, bits):
         JointEntry(bytes([b]) + bytes(spec.domains[i].length - 1), b"p/%d" % i)
         for i, b in enumerate(bits)
     ))
+
+
+def test_engine_options_are_pinned():
+    def options(fn):
+        return [p.name for p in inspect.signature(fn).parameters.values()
+                if p.kind is p.KEYWORD_ONLY]
+
+    assert options(run_honest) == ["max_rounds", "record", "probe_halted"]
+    assert options(run_with_adversary) == ["record"]
 
 
 class TestDeliveryTiming:
@@ -69,14 +79,12 @@ class TestDeliveryTiming:
 
     def test_cap_zero_rounds_leaves_running(self):
         spec = make_xor_exchange(3)
-        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=0,
-                         enforce_round_bound=False)
+        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=0)
         assert res.outcomes == [RUNNING] * 3
 
     def test_cut_off_echo_leaves_running(self):
         spec = make_echo_xor(3, 2)
-        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=2,
-                         enforce_round_bound=False)
+        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=2)
         assert res.outcomes == [RUNNING] * 3
 
 
@@ -149,29 +157,24 @@ class TestStrictEnforcement:
         assert res.outcomes == [b"\x00"] * 2
 
     def test_enforcement_can_be_disabled(self):
+        # a caller-set round cap replaces the declared bound
         spec = self._spec(declared_q=1, actual_calls=4)
-        res = run_honest(spec, JointInput.zeros(spec), 1, enforce_round_bound=False)
+        res = run_honest(spec, JointInput.zeros(spec), 1, max_rounds=4)
         assert res.outcomes == [b"\x00"] * 2
 
 
 class TestTopology:
-    def test_complete_and_cycle(self):
-        c = Topology.complete(4)
-        assert c.has_edge(0, 3) and not c.has_edge(2, 2)
-        cy = Topology.cycle(5)
-        assert cy.has_edge(0, 4) and cy.has_edge(0, 1) and not cy.has_edge(0, 2)
-        assert cy.neighbors(0) == [1, 4]
+    @pytest.mark.parametrize("dst", [2, 3, -1], ids=["self", "n", "negative"])
+    def test_send_off_the_complete_graph_raises(self, dst):
+        class Stray(AdversaryStrategy):
+            corrupted = frozenset({2})
 
-    def test_cycle_needs_three(self):
-        with pytest.raises(ValueError):
-            Topology.cycle(2)
+            def step(self, state, round_no, inbound):
+                return state, {(2, dst): b"x"}
 
-    def test_off_topology_send_raises(self):
-        spec = make_xor_exchange(4)
-        with pytest.raises(TopologyViolation):
-            # exchange broadcasts to everyone; a cycle has no 0-2 edge
-            run_honest(spec, bits_joint(spec, (0, 0, 0, 0)), 1,
-                       topology=Topology.cycle(4))
+        spec = make_xor_exchange(3)
+        with pytest.raises(TopologyViolation, match="no edge"):
+            run_with_adversary(spec, Stray(), bits_joint(spec, (0, 0, 0)), 1)
 
     def test_message_cap_enforced(self):
         spec = one_shot_spec(bytes(MESSAGE_CAP))
@@ -262,8 +265,7 @@ class TestAdversaryPlumbing:
 class TestConsistency:
     def test_check_consistency_raises_on_running(self):
         spec = make_echo_xor(3, 2)
-        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=1,
-                         enforce_round_bound=False)
+        res = run_honest(spec, bits_joint(spec, (0, 0, 0)), 1, max_rounds=1)
         with pytest.raises(ValueError):
             check_consistency(res)
 

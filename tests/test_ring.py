@@ -220,8 +220,7 @@ class TestEmbedding:
             0: JointEntry(w[e_a].input, w[e_a].coin_label),
             1: JointEntry(w[e_b].input, w[e_b].coin_label),
         }
-        res = run_with_adversary(spec, adv, joint, seed, record=True,
-                                 enforce_round_bound=False)
+        res = run_with_adversary(spec, adv, joint, seed, record=True)
         assert res.outcomes[0] == full.outcomes[e_a]
         assert res.outcomes[1] == full.outcomes[e_b]
 
@@ -306,8 +305,7 @@ class TestAttackThreeParty:
         offline = emulate_ring(p1.ring, p1.w, rounds_cap=p1.m, seed=p1.seed, record=True)
         adv = AttackAdversary(p1, frozenset({2}))
         joint = {i: JointEntry(p1.w[i].input, p1.w[i].coin_label) for i in (0, 1)}
-        res = run_with_adversary(spec, adv, joint, 400, record=True,
-                                 enforce_round_bound=False)
+        res = run_with_adversary(spec, adv, joint, 400, record=True)
         assert res.outcomes[0] == offline.outcomes[0]
         assert res.outcomes[1] == offline.outcomes[1]
 

@@ -107,7 +107,7 @@ class TestGeomHalt:
         halted_by_3 = 0
         for i in range(n_runs):
             res = run_honest(spec, JointInput.zeros(spec), derive_seed(2, "geom", i),
-                             max_rounds=2, enforce_round_bound=False)
+                             max_rounds=2)
             # cap 2 send rounds = 3 step calls (third is the flush call)
             if res.outcomes[0] == b"\x00":
                 halted_by_3 += 1
