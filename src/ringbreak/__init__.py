@@ -19,8 +19,6 @@ from .compiler import (
     ComparisonReport,
     HybridAdversary,
     IdealDecision,
-    IdealResult,
-    ThresholdIdealConfig,
     UnsupportedSubcase,
     WrappedProtocol,
     always_abort_adversary,
@@ -31,7 +29,6 @@ from .compiler import (
     full_ideal_exec,
     never_abort_adversary,
     simulate_ideal,
-    threshold_ideal_exec,
     wrap_dominated,
 )
 from .core import (

@@ -38,6 +38,7 @@ from .core import (
     JointInput,
     SpecViolation,
     derive_seed,
+    is_int,
     outcome_repr,
     validate_spec,
 )
@@ -375,6 +376,9 @@ def cmd_compile(cfg: dict, jobs: int = 1):
     if len(corrupt) > wrapped.t2:
         raise ConfigError(f"coalition of {len(corrupt)} exceeds t2={wrapped.t2}")
     adv = _parse_hybrid_adv(cfg["adv"], corrupt, inputs)
+    if any(d.abort for _, d in adv.branches) and len(corrupt) <= wrapped.t1:
+        raise ConfigError(f"--adv {cfg['adv']} can abort, which needs more than "
+                          f"t1={wrapped.t1} corrupted parties; got {len(corrupt)}")
 
     # exhaustive sweep: no honest party ever outputs BOT, and every legal
     # abort lands on y*
@@ -390,7 +394,7 @@ def cmd_compile(cfg: dict, jobs: int = 1):
                 if decision.abort and any(o != wrapped.y_star for o in rec.honest_outputs):
                     abort_forces = False
 
-    comparison = compare_real_ideal(table, n, t, adv, inputs, exhaustive=True)
+    comparison = compare_real_ideal(wrapped, adv, inputs, exhaustive=True)
     body: dict = {
         "table_name": table.name,
         "n": n, "t": t, "s": wrapped.s, "t1": wrapped.t1, "t2": wrapped.t2,
@@ -405,7 +409,7 @@ def cmd_compile(cfg: dict, jobs: int = 1):
         "ideal_dist": comparison.ideal_dist,
     }
     if cfg["mc_trials"]:
-        mc = compare_real_ideal(table, n, t, adv, inputs, exhaustive=False,
+        mc = compare_real_ideal(wrapped, adv, inputs, exhaustive=False,
                                 trials=cfg["mc_trials"], seed=cfg["seed"])
         body["distance_mc"] = mc.distance
         body["mc_trials"] = cfg["mc_trials"]
@@ -533,10 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_value(key: str, value, default) -> None:
     """Reject a config value its flag could not have produced; null only
     where the default is null."""
@@ -549,9 +549,9 @@ def _check_value(key: str, value, default) -> None:
     if "choices" in flag:
         ok, want = value in flag["choices"], "one of " + ", ".join(flag["choices"])
     elif kind is int:
-        ok, want = _is_int(value), "an integer"
+        ok, want = is_int(value), "an integer"
     elif kind is _parse_int_list:
-        ok, want = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+        ok, want = isinstance(value, list) and all(map(is_int, value)), "a list of integers"
         if ok and key == "corrupt" and len(set(value)) < len(value):
             ok, want = False, "a list of distinct integers"
     else:

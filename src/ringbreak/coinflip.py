@@ -155,13 +155,10 @@ class BiasAttackResult:
     phase1: Optional[AttackPhase1Result] = field(repr=False, default=None)
 
 
-def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed: int,
-                *, exclude: bytes = b"\x00") -> BiasAttackResult:
-    """Search for a forcing adversary whose pre-committed value is not
-    `exclude`, redoing the offline ring phase with fresh seeds up to kappa
-    times. Aborting is a result, not an error.
-    """
-    n = spec.n
+def _bias_coalition(n: int, corrupted: tuple[int, ...],
+                    kappa: int) -> tuple[tuple[int, ...], int]:
+    """Check a bias attack's coalition and kappa; returns the sorted
+    coalition and the attack's t = (n - |coalition|) / 2."""
     corrupt = tuple(sorted(set(corrupted)))
     want = math.ceil(n / 3)
     if len(corrupt) != want:
@@ -171,7 +168,16 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
     if (n - len(corrupt)) % 2 != 0:
         raise ConfigError(
             f"no integral threshold pairs n={n} with a coalition of {len(corrupt)}")
-    t = (n - len(corrupt)) // 2
+    return corrupt, (n - len(corrupt)) // 2
+
+
+def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed: int,
+                *, exclude: bytes = b"\x00") -> BiasAttackResult:
+    """Search for a forcing adversary whose pre-committed value is not
+    `exclude`, redoing the offline ring phase with fresh seeds up to kappa
+    times. Aborting is a result, not an error.
+    """
+    corrupt, t = _bias_coalition(spec.n, corrupted, kappa)
     for attempt in range(1, kappa + 1):
         atk = attack_n_party(spec, t, corrupt, derive_seed(seed, "bias-attack", attempt))
         y = atk.y_star
@@ -272,6 +278,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
         raise ConfigError("the bias verdict is implemented for 3-party protocols")
     if trials < 1000:
         raise ConfigError("need at least 1000 trials")
+    _bias_coalition(n, corrupted, kappa)
     m = attack_ring_size(spec.q, "strict")
 
     family = embedding_family(spec, m)

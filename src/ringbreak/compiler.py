@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Optional, Sequence
 
-from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, outcome_repr
+from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, is_int, outcome_repr
 from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated
 
 
@@ -59,84 +59,33 @@ class IdealDecision:
         return "sub(" + ",".join(f"{i}={v!r}" for i, v in self.inputs) + ")"
 
 
-@dataclass(frozen=True)
-class IdealResult:
-    outputs: tuple[Any, ...]    # one entry per party, all equal here
-    y: Any
-    x_used: tuple[int, ...]
-    aborted: bool = False
-
-
-def _sanitize(f: FunctionTable, i: int, value: Any, default: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        return default
-    if not 0 <= value < f.domains[i]:
-        return default
-    return value
+def _in_domain(f: FunctionTable, i: int, value: Any) -> bool:
+    return is_int(value) and 0 <= value < f.domains[i]
 
 
 def full_ideal_exec(f: FunctionTable, honest_inputs: dict[int, int],
-                    adv_inputs: dict[int, Any],
-                    corrupted: Optional[Sequence[int]] = None,
-                    defaults: Optional[Sequence[int]] = None) -> IdealResult:
+                    adv_inputs: dict[int, Any], corrupted: Sequence[int]) -> Token:
     """Fully secure ideal computation: everyone learns f(x'), no abort.
 
-    Corrupted parties' missing or out-of-domain values fall back to the
-    per-party default; honest values must be in-domain.
+    A corrupted party's missing or out-of-domain value falls back to 0;
+    honest values must be in-domain.
     """
-    corrupt = set(corrupted) if corrupted is not None else set(range(f.n)) - set(honest_inputs)
+    corrupt = set(corrupted)
     if set(honest_inputs) | corrupt != set(range(f.n)):
         raise ConfigError("inputs must cover every party")
     if set(honest_inputs) & corrupt:
         raise ConfigError("party listed as both honest and corrupted")
     if not set(adv_inputs) <= corrupt:
         raise ConfigError("adversary substituted an input for an honest party")
-    defs = list(defaults) if defaults is not None else [0] * f.n
     x = [0] * f.n
     for i, v in honest_inputs.items():
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < f.domains[i]:
+        if not _in_domain(f, i, v):
             raise ConfigError(f"honest input {v!r} outside domain of party {i}")
         x[i] = v
     for i in corrupt:
-        x[i] = _sanitize(f, i, adv_inputs.get(i), defs[i])
-    y = f.value(x)
-    return IdealResult(outputs=(y,) * f.n, y=y, x_used=tuple(x))
-
-
-@dataclass(frozen=True)
-class ThresholdIdealConfig:
-    """Oracle parameters: abort allowed only above t1, tolerance up to t2."""
-
-    f: FunctionTable
-    t1: int
-    t2: int
-    defaults: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = self.f.n
-        if not 0 <= self.t1 <= self.t2:
-            raise ConfigError("need 0 <= t1 <= t2")
-        if self.t1 + 2 * self.t2 >= n:
-            raise ConfigError("need t1 + 2*t2 < n")
-        if self.defaults == ():
-            object.__setattr__(self, "defaults", (0,) * n)
-        if len(self.defaults) != n:
-            raise ConfigError("one default per party")
-
-
-def threshold_ideal_exec(cfg: ThresholdIdealConfig, honest_inputs: dict[int, int],
-                         decision: IdealDecision, corrupted: Sequence[int]) -> IdealResult:
-    """One oracle call: abort (if the coalition is big enough) or compute f."""
-    corrupt = sorted(set(corrupted))
-    if len(corrupt) > cfg.t2:
-        raise ConfigError(f"oracle tolerates at most t2={cfg.t2} corruptions")
-    if decision.abort:
-        if len(corrupt) <= cfg.t1:
-            raise SpecViolation(
-                f"abort needs more than t1={cfg.t1} corrupted parties, got {len(corrupt)}")
-        return IdealResult(outputs=(BOT,) * cfg.f.n, y=BOT, x_used=(), aborted=True)
-    return full_ideal_exec(cfg.f, honest_inputs, decision.inputs_dict(),
-                           corrupted=corrupt, defaults=cfg.defaults)
+        v = adv_inputs.get(i)
+        x[i] = v if _in_domain(f, i, v) else 0
+    return f.value(x)
 
 
 @dataclass(frozen=True)
@@ -198,8 +147,6 @@ class RunRecord:
 
     honest_outputs: tuple[Any, ...]
     adv_output: str
-    decision: IdealDecision
-    branch: int
 
     def key(self) -> tuple:
         return (tuple(outcome_repr(o) for o in self.honest_outputs), self.adv_output)
@@ -213,8 +160,10 @@ def _adv_output(branch: int, decision: IdealDecision, view: Any) -> str:
 class WrappedProtocol:
     """The full-security wrapper around one threshold-oracle call.
 
-    Each party submits its input to the oracle and outputs the oracle's
-    answer, except that a BOT answer is replaced by the dominating value y*.
+    The oracle computes f but lets a coalition of more than t1 (and at most
+    t2) parties force a unanimous BOT. Each party submits its input to the
+    oracle and outputs the oracle's answer, except that a BOT answer is
+    replaced by the dominating value y*.
     """
 
     f: FunctionTable
@@ -225,33 +174,26 @@ class WrappedProtocol:
     t2: int
     y_star: Token
     witness: DominanceWitness = field(repr=False)
-    cfg: ThresholdIdealConfig = field(repr=False)
+
+    def oracle(self, honest_inputs: dict[int, int], decision: IdealDecision,
+               corrupted: Sequence[int]) -> Token:
+        """One oracle call: BOT on a legal abort, f(x') otherwise."""
+        k = len(set(corrupted))
+        if k > self.t2:
+            raise ConfigError(f"oracle tolerates at most t2={self.t2} corruptions")
+        if not decision.abort:
+            return full_ideal_exec(self.f, honest_inputs, decision.inputs_dict(), corrupted)
+        if k <= self.t1:
+            raise SpecViolation(f"abort needs more than t1={self.t1} corrupted parties, got {k}")
+        return BOT
 
     def run_decision(self, inputs: Sequence[int], adv_corrupted: Sequence[int],
                      decision: IdealDecision, branch: int = 0) -> RunRecord:
         corrupt = sorted(set(adv_corrupted))
         honest = {i: inputs[i] for i in range(self.n) if i not in corrupt}
-        res = threshold_ideal_exec(self.cfg, honest, decision, corrupt)
-        outs = tuple(
-            self.y_star if res.outputs[i] is BOT else res.outputs[i]
-            for i in range(self.n) if i not in corrupt
-        )
-        view = BOT if res.aborted else res.y
-        return RunRecord(honest_outputs=outs, adv_output=_adv_output(branch, decision, view),
-                         decision=decision, branch=branch)
-
-    def run(self, inputs: Sequence[int], adversary: Optional[HybridAdversary],
-            seed: int) -> RunRecord:
-        if adversary is None:
-            # all parties honest: forward everyone's real input
-            honest = {i: inputs[i] for i in range(self.n)}
-            res = threshold_ideal_exec(self.cfg, honest, IdealDecision.substitute({}), [])
-            return RunRecord(tuple(res.outputs), _adv_output(0, IdealDecision.substitute({}), res.y),
-                             IdealDecision.substitute({}), 0)
-        if len(adversary.corrupted) > self.t2:
-            raise ConfigError("adversary exceeds the oracle's corruption tolerance")
-        branch, decision = adversary.draw(seed)
-        return self.run_decision(inputs, adversary.corrupted, decision, branch)
+        view = self.oracle(honest, decision, corrupt)
+        out = self.y_star if view is BOT else view
+        return RunRecord((out,) * len(honest), _adv_output(branch, decision, view))
 
 
 def wrap_dominated(f: FunctionTable, n: int, t: int) -> WrappedProtocol:
@@ -268,61 +210,43 @@ def wrap_dominated(f: FunctionTable, n: int, t: int) -> WrappedProtocol:
     if witness is None:
         raise ConfigError(f"{f.name} is not {s}-dominated; the wrapper does not apply")
     t1, t2 = n - 2 * t - 1, t
-    cfg = ThresholdIdealConfig(f=f, t1=t1, t2=t2)
     assert t1 <= t2 and t1 + 2 * t2 < n
     return WrappedProtocol(f=f, n=n, t=t, s=s, t1=t1, t2=t2,
-                           y_star=witness.y_star, witness=witness, cfg=cfg)
+                           y_star=witness.y_star, witness=witness)
 
 
 def forcing_inputs(wrapped: WrappedProtocol, corrupted: Sequence[int]) -> dict[int, int]:
-    """Inputs for the s lowest corrupted indices that pin f to y*."""
+    """Inputs for the s lowest corrupted indices that pin f to y*; the rest
+    of the coalition submits 0."""
     corrupt = sorted(set(corrupted))
     if len(corrupt) < wrapped.s:
         raise ConfigError("coalition too small to force the output")
     subset = tuple(corrupt[:wrapped.s])
     assignment, tok = wrapped.witness.per_subset[subset]
     assert tok == wrapped.y_star
-    sub = {i: v for i, v in zip(subset, assignment)}
-    for i in corrupt[wrapped.s:]:
-        sub[i] = wrapped.cfg.defaults[i]
+    sub = dict.fromkeys(corrupt, 0)
+    sub.update(zip(subset, assignment))
     return sub
 
 
-def simulate_ideal(wrapped: WrappedProtocol, adversary: HybridAdversary,
-                   inputs: Sequence[int], seed: int) -> RunRecord:
-    """The simulator: same adversary, full ideal, identical joint outcome.
+def simulate_ideal(wrapped: WrappedProtocol, inputs: Sequence[int], corrupted: Sequence[int],
+                   decision: IdealDecision, branch: int = 0) -> RunRecord:
+    """The simulator: same decision, full ideal, identical joint outcome.
 
-    Draws the adversary's decision against a mock oracle. A forwarded
+    The simulator plays the oracle towards the adversary. A forwarded
     decision goes straight to the full ideal; an abort is replaced by the
     witness inputs that force y*, while the adversary is shown the BOT it
-    expects. The coin derivation matches WrappedProtocol.run so the two
-    sides can be coupled per-seed in tests.
+    expects.
     """
-    branch, decision = adversary.draw(seed)
-    return simulate_ideal_decision(wrapped, adversary, inputs, decision, branch)
-
-
-def simulate_ideal_decision(wrapped: WrappedProtocol, adversary: HybridAdversary,
-                            inputs: Sequence[int], decision: IdealDecision,
-                            branch: int = 0) -> RunRecord:
-    corrupt = sorted(set(adversary.corrupted))
+    corrupt = sorted(set(corrupted))
     honest = {i: inputs[i] for i in range(wrapped.n) if i not in corrupt}
     if decision.abort:
-        if len(corrupt) <= wrapped.t1:
-            raise SpecViolation(
-                f"abort needs more than t1={wrapped.t1} corrupted parties, got {len(corrupt)}")
-        sub = forcing_inputs(wrapped, corrupt)
-        res = full_ideal_exec(wrapped.f, honest, sub, corrupted=corrupt,
-                              defaults=wrapped.cfg.defaults)
-        assert res.y == wrapped.y_star
-        view: Any = BOT  # what the mock oracle shows the adversary
+        view = wrapped.oracle(honest, decision, corrupt)  # checks the abort is legal
+        y = full_ideal_exec(wrapped.f, honest, forcing_inputs(wrapped, corrupt), corrupt)
+        assert y == wrapped.y_star
     else:
-        res = full_ideal_exec(wrapped.f, honest, decision.inputs_dict(),
-                              corrupted=corrupt, defaults=wrapped.cfg.defaults)
-        view = res.y
-    outs = tuple(res.outputs[i] for i in range(wrapped.n) if i not in corrupt)
-    return RunRecord(honest_outputs=outs, adv_output=_adv_output(branch, decision, view),
-                     decision=decision, branch=branch)
+        view = y = full_ideal_exec(wrapped.f, honest, decision.inputs_dict(), corrupt)
+    return RunRecord((y,) * len(honest), _adv_output(branch, decision, view))
 
 
 def enumerate_decisions(wrapped: WrappedProtocol, corrupted: Sequence[int]) -> list[IdealDecision]:
@@ -351,22 +275,23 @@ def _dist_to_json(dist: dict) -> dict:
     return {repr(k): float(v) for k, v in sorted(dist.items(), key=lambda kv: repr(kv[0]))}
 
 
-def compare_real_ideal(f: FunctionTable, n: int, t: int, adversary: HybridAdversary,
+def compare_real_ideal(wrapped: WrappedProtocol, adversary: HybridAdversary,
                        inputs: Sequence[int], *, exhaustive: bool = True,
                        trials: int = 100_000, seed: int = 0) -> ComparisonReport:
     """Statistical distance between wrapper and simulated-ideal joint outputs.
 
     Exhaustive mode walks the adversary's branches with exact Fraction
-    weights; Monte-Carlo mode couples both sides on per-trial seeds.
+    weights; Monte-Carlo mode draws each side's branch on its own per-trial
+    seed.
     """
-    wrapped = wrap_dominated(f, n, t)
+    corrupt = adversary.corrupted
     if exhaustive:
         real: dict = {}
         ideal: dict = {}
         for branch, (w, decision) in enumerate(adversary.branches):
-            r = wrapped.run_decision(inputs, adversary.corrupted, decision, branch)
+            r = wrapped.run_decision(inputs, corrupt, decision, branch)
             real[r.key()] = real.get(r.key(), Fraction(0)) + w
-            s = simulate_ideal_decision(wrapped, adversary, inputs, decision, branch)
+            s = simulate_ideal(wrapped, inputs, corrupt, decision, branch)
             ideal[s.key()] = ideal.get(s.key(), Fraction(0)) + w
         support = set(real) | set(ideal)
         tv = sum(abs(real.get(k, Fraction(0)) - ideal.get(k, Fraction(0))) for k in support) / 2
@@ -376,10 +301,11 @@ def compare_real_ideal(f: FunctionTable, n: int, t: int, adversary: HybridAdvers
     real_counts: dict = {}
     ideal_counts: dict = {}
     for i in range(trials):
-        tseed = derive_seed(seed, "compare", i)
-        r = wrapped.run(inputs, adversary, tseed)
+        branch, decision = adversary.draw(derive_seed(seed, "compare", i))
+        r = wrapped.run_decision(inputs, corrupt, decision, branch)
         real_counts[r.key()] = real_counts.get(r.key(), 0) + 1
-        s = simulate_ideal(wrapped, adversary, inputs, derive_seed(seed, "compare-sim", i))
+        branch, decision = adversary.draw(derive_seed(seed, "compare-sim", i))
+        s = simulate_ideal(wrapped, inputs, corrupt, decision, branch)
         ideal_counts[s.key()] = ideal_counts.get(s.key(), 0) + 1
     support = set(real_counts) | set(ideal_counts)
     tv = sum(abs(real_counts.get(k, 0) - ideal_counts.get(k, 0)) for k in support) / (2 * trials)

@@ -28,6 +28,11 @@ class ConfigError(Exception):
     """Bad user-supplied configuration or input file."""
 
 
+def is_int(value: Any) -> bool:
+    """An int that is not a bool: what a JSON integer loads as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Sentinel:
     __slots__ = ("_name",)
 

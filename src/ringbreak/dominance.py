@@ -24,7 +24,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, is_int
 
 PROFILE_BUDGET = 2 ** 24
 
@@ -110,12 +110,15 @@ class FunctionTable:
         missing = {"n", "domains", "outputs"} - set(data)
         if missing:
             raise ConfigError(f"table JSON missing fields: {sorted(missing)}")
-        return FunctionTable(
-            n=int(data["n"]),
-            domains=tuple(int(d) for d in data["domains"]),
-            outputs=tuple(data["outputs"]),
-            name=str(data.get("name", "f")),
-        )
+        n, domains, outputs = data["n"], data["domains"], data["outputs"]
+        if not is_int(n):
+            raise ConfigError(f"table n must be an integer, got {n!r}")
+        if not isinstance(domains, list) or not all(map(is_int, domains)):
+            raise ConfigError(f"table domains must be a list of integers, got {domains!r}")
+        if not isinstance(outputs, list):
+            raise ConfigError(f"table outputs must be a list, got {outputs!r}")
+        return FunctionTable(n=n, domains=tuple(domains), outputs=tuple(outputs),
+                             name=str(data.get("name", "f")))
 
 
 def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:

@@ -206,6 +206,8 @@ def attack_ring_size(q: int, variant: str) -> int:
     more than q hops (strict) or m hops (expected, where the cap is m) from
     every slot a real honest party might occupy.
     """
+    if q < 1:
+        raise ConfigError(f"round bound must be >= 1, got {q}")
     if variant == "strict":
         m = max(4, q + (q % 2))
         while _best_far_slot(3 * m)[1] <= q:

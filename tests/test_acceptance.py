@@ -261,11 +261,11 @@ def test_c08_wrapper_full_security():
     for adv in (never_abort_adversary((6, 7, 8), {6: 1, 7: 0, 8: 1}),
                 never_abort_adversary((0, 4), {0: 0, 4: 0}),
                 always_abort_adversary((6, 7, 8))):
-        rep = compare_real_ideal(f, 9, 3, adv, inputs, exhaustive=True)
+        rep = compare_real_ideal(wrapped, adv, inputs, exhaustive=True)
         if not rep.exact_zero:
             exact_ok = False
     mc = compare_real_ideal(
-        f, 9, 3,
+        wrapped,
         coin_abort_adversary((6, 7, 8), Fraction(1, 2), {6: 1, 7: 1, 8: 1}),
         inputs, exhaustive=False, trials=100_000, seed=808)
     ok = no_bot and abort_forces and exact_ok and mc.distance < 0.01

@@ -218,12 +218,17 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
      "--delta-trials", "100"],
     ["coinflip", "--mode", "attack", "--corrupt", "2,2", "--trials", "1000"],
     ["compile", "--builtin", "thresh:3:9", "--t", "3", "--corrupt", "6,6,7"],
+    ["compile", "--builtin", "thresh:3:9", "--t", "3", "--adv", "abort", "--corrupt", "8"],
+    ["compile", "--builtin", "thresh:3:9", "--t", "3", "--adv", "coin:1/2", "--corrupt", "7,8"],
+    ["attack", "--protocol", "geom_halt:0.5", "--t", "1", "--variant", "expected",
+     "--q-expected", "-3", "--trials", "3"],
 ], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
         "compile-negative-mc-trials", "compile-corrupt-out-of-range",
         "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds",
         "coinflip-verify-on-expected-rounds", "validate-no-trials",
         "validate-negative-trials", "attack-repeated-corrupt", "coinflip-repeated-corrupt",
-        "compile-repeated-corrupt"])
+        "compile-repeated-corrupt", "compile-abort-by-small-coalition",
+        "compile-coin-abort-by-small-coalition", "attack-negative-q-expected"])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert main([*argv, "--seed", "1"]) == 2
     captured = capsys.readouterr()
@@ -345,6 +350,18 @@ class TestCompileCommand:
     def test_bad_adversary_selector(self, tmp_path):
         assert main(["compile", "--builtin", "thresh:2:6", "--t", "2",
                      "--adv", "sometimes", "--seed", "1"]) == 2
+
+    def test_dominance_is_decided_once(self, tmp_path, monkeypatch):
+        import ringbreak.compiler as compiler
+
+        calls = []
+        real = compiler.is_k_dominated
+        monkeypatch.setattr(compiler, "is_k_dominated",
+                            lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        code, _ = run(tmp_path, "compile", "--builtin", "thresh:2:6", "--t", "2",
+                      "--adv", "coin:1/2", "--mc-trials", "200", "--seed", "1")
+        assert code == 0
+        assert calls == [2]
 
 
 class TestCoinflipCommand:

@@ -135,6 +135,19 @@ class TestVerdict:
             verify_no_nontrivial_bias(make_spec("xor_exchange", 5), kappa=4,
                                       trials=1000, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [{"kappa": 0}, {"kappa": 4, "corrupted": (1, 2)}],
+                             ids=["no-attempts", "coalition-too-large"])
+    def test_bad_attack_input_fails_before_any_run(self, kwargs, monkeypatch):
+        import ringbreak.coinflip as coinflip
+
+        def never(*a, **kw):
+            raise AssertionError("estimated delta before checking the attack's inputs")
+
+        monkeypatch.setattr(coinflip, "estimate_consistency", never)
+        with pytest.raises(ConfigError):
+            verify_no_nontrivial_bias(make_spec("fair_coin", 3), trials=1000, seed=0,
+                                      **kwargs)
+
     def test_deterministic_coin_is_conclusive(self):
         # const has a perfectly consistent ring embedding, so delta_hat = 0
         # and the forcing distance 1/2 clears the bound with room to spare

@@ -8,7 +8,6 @@ import pytest
 from ringbreak.compiler import (
     HybridAdversary,
     IdealDecision,
-    ThresholdIdealConfig,
     UnsupportedSubcase,
     always_abort_adversary,
     coin_abort_adversary,
@@ -17,8 +16,7 @@ from ringbreak.compiler import (
     forcing_inputs,
     full_ideal_exec,
     never_abort_adversary,
-    simulate_ideal_decision,
-    threshold_ideal_exec,
+    simulate_ideal,
     wrap_dominated,
 )
 from ringbreak.core import BOT, ConfigError, SpecViolation
@@ -28,17 +26,14 @@ from ringbreak.dominance import or_table, threshold_table, xor_table
 class TestFullIdeal:
     def test_plain_computation(self):
         f = threshold_table(4, 2)
-        res = full_ideal_exec(f, {0: 1, 1: 0, 2: 1, 3: 0}, {})
-        assert res.y == 1 and res.outputs == (1, 1, 1, 1) and not res.aborted
+        assert full_ideal_exec(f, {0: 1, 1: 0, 2: 1, 3: 0}, {}, corrupted=[]) == 1
 
     def test_adversary_defaults(self):
         f = or_table(3)
-        # missing, boolean and out-of-domain substitutions all fall to the default
+        # missing, boolean and out-of-domain substitutions all fall to 0
         for bad in ({}, {2: True}, {2: 7}, {2: "x"}):
-            res = full_ideal_exec(f, {0: 0, 1: 0}, bad, corrupted=[2])
-            assert res.y == 0 and res.x_used == (0, 0, 0)
-        res = full_ideal_exec(f, {0: 0, 1: 0}, {2: 5}, corrupted=[2], defaults=[0, 0, 1])
-        assert res.y == 1
+            assert full_ideal_exec(f, {0: 0, 1: 0}, bad, corrupted=[2]) == 0
+        assert full_ideal_exec(f, {0: 0, 1: 0}, {2: 1}, corrupted=[2]) == 1
 
     def test_honest_input_must_be_in_domain(self):
         f = or_table(3)
@@ -58,38 +53,27 @@ class TestFullIdeal:
 
 
 class TestThresholdIdeal:
-    def cfg(self):
-        return ThresholdIdealConfig(f=threshold_table(6, 2), t1=1, t2=2)
-
-    def test_parameter_guards(self):
-        f = threshold_table(6, 2)
-        with pytest.raises(ConfigError):
-            ThresholdIdealConfig(f=f, t1=2, t2=1)
-        with pytest.raises(ConfigError):
-            ThresholdIdealConfig(f=f, t1=2, t2=2)  # 2 + 4 >= 6
-        with pytest.raises(ConfigError):
-            ThresholdIdealConfig(f=f, t1=1, t2=2, defaults=(0, 0))
+    def wrapped(self):
+        return wrap_dominated(threshold_table(6, 2), 6, 2)  # t1=1, t2=2
 
     def test_abort_needs_large_coalition(self):
         honest = {i: 0 for i in range(6) if i not in (4, 5)}
-        res = threshold_ideal_exec(self.cfg(), honest, IdealDecision.make_abort(), [4, 5])
-        assert res.aborted and all(o is BOT for o in res.outputs)
+        assert self.wrapped().oracle(honest, IdealDecision.make_abort(), [4, 5]) is BOT
         with pytest.raises(SpecViolation):
-            threshold_ideal_exec(self.cfg(), {i: 0 for i in range(5)},
-                                 IdealDecision.make_abort(), [5])
+            self.wrapped().oracle({i: 0 for i in range(5)}, IdealDecision.make_abort(), [5])
 
     def test_tolerance_cap(self):
         honest = {i: 0 for i in range(3)}
         with pytest.raises(ConfigError):
-            threshold_ideal_exec(self.cfg(), honest,
-                                 IdealDecision.substitute({3: 0, 4: 0, 5: 0}), [3, 4, 5])
+            self.wrapped().oracle(honest, IdealDecision.substitute({3: 0, 4: 0, 5: 0}),
+                                  [3, 4, 5])
 
     def test_substitute_path_matches_full_ideal(self):
         honest = {0: 1, 1: 0, 2: 0, 3: 0}
         dec = IdealDecision.substitute({4: 1, 5: 0})
-        res = threshold_ideal_exec(self.cfg(), honest, dec, [4, 5])
-        ref = full_ideal_exec(threshold_table(6, 2), honest, {4: 1, 5: 0}, corrupted=[4, 5])
-        assert res.y == ref.y == 1
+        y = self.wrapped().oracle(honest, dec, [4, 5])
+        assert y == full_ideal_exec(threshold_table(6, 2), honest, {4: 1, 5: 0},
+                                    corrupted=[4, 5]) == 1
 
 
 class TestDecisionsAndAdversaries:
@@ -150,14 +134,13 @@ class TestWrapper:
 
     def test_honest_run_has_no_substitutions(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        rec = w.run([1, 1, 0, 0, 0, 0], None, seed=3)
+        rec = w.run_decision([1, 1, 0, 0, 0, 0], [], IdealDecision.substitute({}))
         assert rec.honest_outputs == (1,) * 6
 
     def test_adversary_over_tolerance(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        adv = never_abort_adversary([3, 4, 5], {})
         with pytest.raises(ConfigError):
-            w.run([0] * 6, adv, seed=0)
+            w.run_decision([0] * 6, [3, 4, 5], IdealDecision.substitute({}))
 
     def test_abort_becomes_y_star(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
@@ -195,8 +178,7 @@ class TestForcingInputs:
         for coalition in ((0, 1, 2), (2, 5, 8), (6, 7, 8)):
             sub = forcing_inputs(w, coalition)
             honest = {i: 0 for i in range(9) if i not in coalition}
-            res = full_ideal_exec(w.f, honest, sub, corrupted=list(coalition))
-            assert res.y == w.y_star
+            assert full_ideal_exec(w.f, honest, sub, corrupted=list(coalition)) == w.y_star
 
     def test_coalition_too_small(self):
         w = wrap_dominated(threshold_table(9, 3), 9, 3)
@@ -206,7 +188,7 @@ class TestForcingInputs:
 
 class TestRealVsIdeal:
     def test_exhaustive_distance_exactly_zero(self):
-        f = threshold_table(6, 2)
+        w = wrap_dominated(threshold_table(6, 2), 6, 2)
         inputs = [0, 1, 0, 0, 0, 0]
         advs = [
             never_abort_adversary([4, 5], {4: 1, 5: 1}),
@@ -214,24 +196,24 @@ class TestRealVsIdeal:
             coin_abort_adversary([4, 5], Fraction(1, 2), {4: 0, 5: 0}),
         ]
         for adv in advs:
-            rep = compare_real_ideal(f, 6, 2, adv, inputs, exhaustive=True)
+            rep = compare_real_ideal(w, adv, inputs, exhaustive=True)
             assert rep.method == "exhaustive"
             assert rep.exact_zero is True and rep.distance == 0.0
 
     def test_exhaustive_zero_across_coalitions_and_inputs(self):
-        f = threshold_table(9, 3)
+        w = wrap_dominated(threshold_table(9, 3), 9, 3)
         for coalition in ((6, 7, 8), (0, 4, 8), (1, 2)):
             for inputs in ([0] * 9, [1] * 9, [0, 1] * 4 + [0]):
                 sub = {i: 1 for i in coalition}
                 adv = (coin_abort_adversary(coalition, Fraction(1, 3), sub)
                        if len(coalition) > 2 else never_abort_adversary(coalition, sub))
-                rep = compare_real_ideal(f, 9, 3, adv, inputs, exhaustive=True)
+                rep = compare_real_ideal(w, adv, inputs, exhaustive=True)
                 assert rep.exact_zero is True
 
     def test_monte_carlo_distance_small(self):
-        f = threshold_table(6, 2)
+        w = wrap_dominated(threshold_table(6, 2), 6, 2)
         adv = coin_abort_adversary([4, 5], Fraction(1, 2), {4: 1, 5: 1})
-        rep = compare_real_ideal(f, 6, 2, adv, [0, 1, 0, 1, 0, 0],
+        rep = compare_real_ideal(w, adv, [0, 1, 0, 1, 0, 0],
                                  exhaustive=False, trials=4000, seed=5)
         assert rep.method == "monte-carlo" and rep.trials == 4000
         assert rep.exact_zero is None
@@ -239,8 +221,7 @@ class TestRealVsIdeal:
 
     def test_simulator_shows_bot_on_abort(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        adv = always_abort_adversary([4, 5])
-        rec = simulate_ideal_decision(w, adv, [0] * 6, IdealDecision.make_abort())
+        rec = simulate_ideal(w, [0] * 6, [4, 5], IdealDecision.make_abort())
         # honest see the forced value, the adversary still sees an abort
         assert set(rec.honest_outputs) == {w.y_star}
         assert rec.adv_output.endswith("->BOT")

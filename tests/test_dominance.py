@@ -110,6 +110,10 @@ class TestFunctionTable:
         with pytest.raises(ConfigError):
             FunctionTable.from_json(json.dumps(
                 {"n": 2, "domains": [2, 2], "outputs": [0, 1, 2, [3]]}))
+        for bad in ({"n": "x"}, {"domains": 2}, {"domains": ["a"]}, {"outputs": "abcd"}):
+            table = {"n": 2, "domains": [2, 2], "outputs": [0, 1, 1, 0], **bad}
+            with pytest.raises(ConfigError):
+                FunctionTable.from_json(json.dumps(table))
 
     def test_range_tokens_sorted(self):
         f = table_from_fn(2, (2, 2), lambda a, b: ["b", "a", "a", "c"][a * 2 + b])
