@@ -282,7 +282,7 @@ def cmd_dominance(cfg: dict, jobs: int = 1):
         body["classification"] = asdict(classify(table, table.n, cfg["t"]))
     if cfg["collapse_m"] is not None:
         v = verify_weak_implies_strong(table, cfg["collapse_m"])
-        body["collapse"] = {k: x for k, x in asdict(v).items() if k != "counterexample"}
+        body["collapse"] = asdict(v)
         if not v.holds:
             code = EXIT_FAIL
     csv_rows = ("k,weak,strong,y_star",

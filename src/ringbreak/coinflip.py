@@ -160,6 +160,8 @@ def _bias_coalition(n: int, corrupted: tuple[int, ...],
     """Check a bias attack's coalition and kappa; returns the sorted
     coalition and the attack's t = (n - |coalition|) / 2."""
     corrupt = tuple(sorted(set(corrupted)))
+    if any(not 0 <= i < n for i in corrupt):
+        raise ConfigError(f"corrupted indices {list(corrupt)} out of range for n={n}")
     want = math.ceil(n / 3)
     if len(corrupt) != want:
         raise ConfigError(f"bias attack corrupts exactly ceil(n/3)={want} parties")

@@ -9,8 +9,11 @@ with the set. These notions decide which functionalities survive the ring
 attack: with t corruptions out of n, the attacker-controlled block has size
 n-2t, and only (n-2t)-dominated functions remain computable.
 
-Everything is exhaustive enumeration over the table; domains stay small by
-design, so the deciders are direct transcriptions of the definitions above.
+Output tokens are compared by their JSON encoding (`token_key`), so 1 and
+true are different values. A table is stored once as integer codes of its
+distinct tokens in that order. Both deciders read one forcing map per
+coordinate set, built by a single all-equal reduction over the coded table;
+`forced_value` slices the table independently to recheck their witnesses.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +70,16 @@ class FunctionTable:
             _check_token(tok)
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.empty(len(self.outputs), dtype=object)
-        arr[:] = self.outputs
-        return arr.reshape(self.domains)
+    def _coded(self) -> tuple[tuple[Token, ...], np.ndarray]:
+        """The distinct tokens in token_key order, and the table as their codes."""
+        # the type tag keeps set() from merging 1 and True before token_key
+        tagged = list(zip(map(type, self.outputs), self.outputs))
+        key = {tt: token_key(tt[1]) for tt in set(tagged)}
+        token = {k: tt[1] for tt, k in key.items()}
+        order = sorted(token)
+        code = {tt: order.index(k) for tt, k in key.items()}
+        codes = np.array([code[tt] for tt in tagged], dtype=np.intp)
+        return tuple(token[k] for k in order), codes.reshape(self.domains)
 
     @property
     def size(self) -> int:
@@ -90,7 +99,7 @@ class FunctionTable:
         return self.outputs[self.index(assignment)]
 
     def range_tokens(self) -> list[Token]:
-        return sorted(set(self.outputs), key=token_key)
+        return list(self._coded[0])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -124,8 +133,8 @@ class FunctionTable:
 def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:
     """The output forced by fixing the given coordinates, if it is constant.
 
-    Slices the table along the fixed coordinates and checks the remaining
-    block for constancy; None when any two complements disagree.
+    Slices the coded table along the fixed coordinates and checks the
+    remaining block for constancy; None when any two complements disagree.
     """
     positions = list(positions)
     values = list(values)
@@ -140,28 +149,21 @@ def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[in
         if not 0 <= val < f.domains[pos]:
             raise ConfigError(f"value {val} outside domain of coordinate {pos}")
         indexer[pos] = val
-    block = f._array[tuple(indexer)]
-    flat = block.ravel() if isinstance(block, np.ndarray) else np.array([block], dtype=object)
-    first = flat[0]
-    for tok in flat[1:]:
-        if tok != first:
-            return None
-    return first
+    tokens, codes = f._coded
+    block = np.ravel(codes[tuple(indexer)])
+    return tokens[block[0]] if (block == block[0]).all() else None
 
 
-def _assignments(f: FunctionTable, positions: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    return itertools.product(*(range(f.domains[p]) for p in positions))
-
-
-def _forcible_tokens(f: FunctionTable, positions: tuple[int, ...]) -> dict[Token, tuple[int, ...]]:
-    """All tokens some assignment to these positions forces, with the first
-    forcing assignment (mixed-radix order) for each."""
-    out: dict[Token, tuple[int, ...]] = {}
-    for assignment in _assignments(f, positions):
-        tok = forced_value(f, positions, assignment)
-        if tok is not None and tok not in out:
-            out[tok] = assignment
-    return out
+def _forcible_tokens(f: FunctionTable, positions: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The code of every token some assignment to these positions forces,
+    with the first forcing assignment (mixed-radix order) for each."""
+    rest = [p for p in range(f.n) if p not in positions]
+    dims = tuple(f.domains[p] for p in positions)
+    rows = f._coded[1].transpose(list(positions) + rest).reshape(prod(dims), -1)
+    forcing = np.flatnonzero((rows == rows[:, :1]).all(axis=1))
+    forced, first = np.unique(rows[forcing, 0], return_index=True)
+    assignments = zip(*np.unravel_index(forcing[first], dims))
+    return {int(c): tuple(map(int, a)) for c, a in zip(forced, assignments)}
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ class DominanceWitness:
 
     def recheck(self, f: FunctionTable) -> bool:
         for subset, (assignment, tok) in self.per_subset.items():
-            if forced_value(f, subset, assignment) != tok:
+            if token_key(forced_value(f, subset, assignment)) != token_key(tok):
                 return False
-            if self.kind == "strong" and tok != self.y_star:
+            if self.kind == "strong" and token_key(tok) != token_key(self.y_star):
                 return False
         return True
 
@@ -191,17 +193,14 @@ def is_weakly_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness
     """Witness iff every k-subset of coordinates can force *some* value."""
     if not 0 < k <= f.n:
         raise ConfigError("k must be in 1..n")
+    tokens = f._coded[0]
     per_subset = {}
     for subset in itertools.combinations(range(f.n), k):
-        hit = None
-        for assignment in _assignments(f, subset):
-            tok = forced_value(f, subset, assignment)
-            if tok is not None:
-                hit = (assignment, tok)
-                break
-        if hit is None:
+        fmap = _forcible_tokens(f, subset)
+        if not fmap:
             return None
-        per_subset[subset] = hit
+        assignment, code = min((a, c) for c, a in fmap.items())
+        per_subset[subset] = (assignment, tokens[code])
     w = DominanceWitness(k=k, kind="weak", y_star=None, qualifying=(), per_subset=per_subset)
     assert w.recheck(f)
     return w
@@ -211,7 +210,7 @@ def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
     """Witness iff one value can be forced by *every* k-subset.
 
     When several values qualify they are all listed; y_star is the smallest
-    by byte encoding.
+    by byte encoding, which is the smallest code.
     """
     if not 0 < k <= f.n:
         raise ConfigError("k must be in 1..n")
@@ -222,9 +221,11 @@ def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
         common &= set(fmap)
         if not common:
             return None
-    qualifying = tuple(sorted(common, key=token_key))
-    y_star = qualifying[0]
-    per_subset = {s: (fmap[y_star], y_star) for s, fmap in zip(subsets, forcible)}
+    tokens = f._coded[0]
+    y_code = min(common)
+    qualifying = tuple(tokens[c] for c in sorted(common))
+    y_star = tokens[y_code]
+    per_subset = {s: (fmap[y_code], y_star) for s, fmap in zip(subsets, forcible)}
     w = DominanceWitness(k=k, kind="strong", y_star=y_star, qualifying=qualifying,
                          per_subset=per_subset)
     assert w.recheck(f)
@@ -279,34 +280,24 @@ class CollapseVerdict:
     strongly_dominated: bool
     holds: bool
     y_star: Optional[Token]
-    counterexample: Optional[dict]
 
 
 def verify_weak_implies_strong(f: FunctionTable, m: int) -> CollapseVerdict:
     """Check the collapse: weakly m-dominated implies m-dominated, for m <= n/3.
 
-    The collapse provably holds in that range, so a returned counterexample
-    means the deciders disagree with it and something is broken.
+    The collapse provably holds in that range, so a verdict that does not
+    hold means the deciders disagree with it and something is broken.
     """
     if 3 * m > f.n:
         raise ConfigError(f"collapse requires m <= n/3; got m={m}, n={f.n}")
-    weak = is_weakly_k_dominated(f, m)
+    weak = is_weakly_k_dominated(f, m) is not None
     strong = is_k_dominated(f, m)
-    if weak is not None and strong is None:
-        counter = {
-            "table": f.to_json(),
-            "m": m,
-            "weak_witness": {str(k): v for k, v in weak.per_subset.items()},
-        }
-        return CollapseVerdict(m=m, weakly_dominated=True, strongly_dominated=False,
-                               holds=False, y_star=None, counterexample=counter)
     return CollapseVerdict(
         m=m,
-        weakly_dominated=weak is not None,
+        weakly_dominated=weak,
         strongly_dominated=strong is not None,
-        holds=True,
+        holds=not weak or strong is not None,
         y_star=strong.y_star if strong is not None else None,
-        counterexample=None,
     )
 
 
@@ -340,6 +331,8 @@ def classify(f: FunctionTable, n: int, t: int) -> Classification:
         raise ConfigError(f"table arity {f.n} does not match n={n}")
     if 3 * t < n:
         raise ConfigError("t below n/3 is a different regime (broadcast achievable)")
+    if t >= n:
+        raise ConfigError(f"t={t} corruptions must be fewer than n={n} parties")
     if 2 * t < n:
         k = n - 2 * t
         witness = is_k_dominated(f, k)

@@ -222,15 +222,18 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
     ["compile", "--builtin", "thresh:3:9", "--t", "3", "--adv", "coin:1/2", "--corrupt", "7,8"],
     ["attack", "--protocol", "geom_halt:0.5", "--t", "1", "--variant", "expected",
      "--q-expected", "-3", "--trials", "3"],
+    ["dominance", "--builtin", "or:3", "--t", "5"],
 ], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
         "compile-negative-mc-trials", "compile-corrupt-out-of-range",
         "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds",
         "coinflip-verify-on-expected-rounds", "validate-no-trials",
         "validate-negative-trials", "attack-repeated-corrupt", "coinflip-repeated-corrupt",
         "compile-repeated-corrupt", "compile-abort-by-small-coalition",
-        "compile-coin-abort-by-small-coalition", "attack-negative-q-expected"])
+        "compile-coin-abort-by-small-coalition", "attack-negative-q-expected",
+        "dominance-t-not-below-n"])
 def test_bad_input_is_a_usage_error(argv, capsys):
-    assert main([*argv, "--seed", "1"]) == 2
+    seeded = "seed" in cli.EXPERIMENTS[argv[0]][2]
+    assert main([*argv, *(["--seed", "1"] if seeded else [])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -135,8 +135,10 @@ class TestVerdict:
             verify_no_nontrivial_bias(make_spec("xor_exchange", 5), kappa=4,
                                       trials=1000, seed=0)
 
-    @pytest.mark.parametrize("kwargs", [{"kappa": 0}, {"kappa": 4, "corrupted": (1, 2)}],
-                             ids=["no-attempts", "coalition-too-large"])
+    @pytest.mark.parametrize("kwargs", [{"kappa": 0}, {"kappa": 4, "corrupted": (1, 2)},
+                                        {"kappa": 4, "corrupted": (7,)}],
+                             ids=["no-attempts", "coalition-too-large",
+                                  "coalition-out-of-range"])
     def test_bad_attack_input_fails_before_any_run(self, kwargs, monkeypatch):
         import ringbreak.coinflip as coinflip
 

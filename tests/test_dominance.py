@@ -46,6 +46,18 @@ def oracle_forced(table, fixed):
     return val
 
 
+def oracle_first_forcing(table, subset, want=None):
+    """First assignment to subset, in mixed-radix order, that forces some
+    value (or the value whose key is `want`); None if there is none.
+    Tables here have no null output, so None from oracle_forced means
+    nothing is forced."""
+    for vals in itertools.product(*(range(table.domains[i]) for i in subset)):
+        y = oracle_forced(table, dict(zip(subset, vals)))
+        if y is not None and (want is None or token_key(y) == want):
+            return vals
+    return None
+
+
 def oracle_forcible_set(table, subset):
     out = set()
     for vals in itertools.product(*(range(table.domains[i]) for i in subset)):
@@ -195,18 +207,33 @@ class TestDeciders:
     def test_weak_matches_oracle(self, seed):
         import random
         rng = random.Random(seed)
-        f = random_table(rng, rng.randint(2, 4))
+        f = random_table(rng, rng.randint(2, 4), max_dom=3)
         k = rng.randint(1, f.n)
-        assert (is_weakly_k_dominated(f, k) is not None) == oracle_weak(f, k)
+        w = is_weakly_k_dominated(f, k)
+        assert (w is not None) == oracle_weak(f, k)
+        for subset, (assignment, tok) in (w.per_subset.items() if w else ()):
+            assert assignment == oracle_first_forcing(f, subset)
+            assert token_key(tok) == token_key(oracle_forced(f, dict(zip(subset, assignment))))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_strong_matches_oracle(self, seed):
         import random
         rng = random.Random(seed)
-        f = random_table(rng, rng.randint(2, 4))
+        f = random_table(rng, rng.randint(2, 4), max_dom=3)
         k = rng.randint(1, f.n)
-        assert (is_k_dominated(f, k) is not None) == oracle_strong(f, k)
+        w = is_k_dominated(f, k)
+        assert (w is not None) == oracle_strong(f, k)
+        for subset, (assignment, tok) in (w.per_subset.items() if w else ()):
+            assert token_key(tok) == token_key(w.y_star)
+            assert assignment == oracle_first_forcing(f, subset, token_key(w.y_star))
+
+    def test_one_and_true_are_different_outputs(self):
+        # a relabelled XOR: Python's True == 1 must not merge the two outputs
+        f = FunctionTable.from_json(json.dumps(
+            {"n": 3, "domains": [2, 2, 2], "outputs": [1, True, True, 1, True, 1, 1, True]}))
+        assert [token_key(y) for y in f.range_tokens()] == [b"1", b"true"]
+        assert classify(f, 3, 1).verdict == NOT_COMPUTABLE
 
 
 class TestProfile:
@@ -255,7 +282,7 @@ class TestCollapse:
             n = rng.choice((6, 7))
             f = random_table(rng, n)
             v = verify_weak_implies_strong(f, 2)
-            assert v.holds, v.counterexample
+            assert v.holds, f.to_json()
 
 
 class TestClassify:
@@ -276,3 +303,5 @@ class TestClassify:
             classify(or_table(9), 9, 2)  # t < n/3
         with pytest.raises(ConfigError):
             classify(or_table(9), 8, 3)  # arity mismatch
+        with pytest.raises(ConfigError):
+            classify(or_table(3), 3, 5)  # more corruptions than parties
