@@ -124,10 +124,12 @@ def _builtin_table(selector: str, budget: int) -> FunctionTable:
 
 
 def _load_table(cfg: dict) -> FunctionTable:
-    """Resolve the table; normalizes cfg so the embedded config is self-contained."""
+    """Resolve the table, refusing one over the cell budget; normalizes cfg
+    so the embedded config is self-contained."""
+    budget = cfg.get("budget", PROFILE_BUDGET)
     if cfg.get("table_data"):
-        return FunctionTable.from_json(cfg["table_data"])
-    if cfg.get("table"):
+        table = FunctionTable.from_json(cfg["table_data"])
+    elif cfg.get("table"):
         try:
             with open(cfg["table"]) as fh:
                 raw = fh.read()
@@ -135,11 +137,14 @@ def _load_table(cfg: dict) -> FunctionTable:
             raise ConfigError(f"cannot read table file: {e}")
         table = FunctionTable.from_json(raw)
     elif cfg.get("builtin"):
-        table = _builtin_table(cfg["builtin"], cfg.get("budget", PROFILE_BUDGET))
+        table = _builtin_table(cfg["builtin"], budget)
     else:
         raise ConfigError("need --table FILE or --builtin SELECTOR")
-    cfg["table_data"] = json.loads(table.to_json())
-    cfg["table"] = None
+    if table.size > budget:
+        raise ConfigError(f"table has {table.size} entries, over the budget {budget}")
+    if not cfg.get("table_data"):
+        cfg["table_data"] = json.loads(table.to_json())
+        cfg["table"] = None
     return table
 
 

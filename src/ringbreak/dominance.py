@@ -11,8 +11,11 @@ n-2t, and only (n-2t)-dominated functions remain computable.
 
 Output tokens are compared by their JSON encoding (`token_key`), so 1 and
 true are different values. A table is stored once as integer codes of its
-distinct tokens in that order. Both deciders read one forcing map per
-coordinate set, built by a single all-equal reduction over the coded table;
+distinct tokens in that order. Forcing is summarized per level: for every
+k-set, the first assignment (mixed-radix order) that forces each code. A
+level is built on demand, once per table, by one batched pass: gather the
+coded table into each set's (assignment, rest) rows and reduce every row to
+all-equal or not. Both deciders, at every k, read those summaries;
 `forced_value` slices the table independently to recheck their witnesses.
 """
 
@@ -21,8 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from math import prod
+from functools import cached_property, lru_cache
+from math import comb, prod
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -81,6 +84,16 @@ class FunctionTable:
         codes = np.array([code[tt] for tt in tagged], dtype=np.intp)
         return tuple(token[k] for k in order), codes.reshape(self.domains)
 
+    @cached_property
+    def _levels(self) -> dict[int, "_Level"]:
+        return {}
+
+    def _level(self, k: int) -> "_Level":
+        """Forcing summary of every k-set, built on first use."""
+        if k not in self._levels:
+            self._levels[k] = _build_level(self, k)
+        return self._levels[k]
+
     @property
     def size(self) -> int:
         return len(self.outputs)
@@ -130,8 +143,8 @@ class FunctionTable:
                              name=str(data.get("name", "f")))
 
 
-def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:
-    """The output forced by fixing the given coordinates, if it is constant.
+def _forced_code(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[int]:
+    """The code of the output forced by fixing the given coordinates, if any.
 
     Slices the coded table along the fixed coordinates and checks the
     remaining block for constancy; None when any two complements disagree.
@@ -146,24 +159,93 @@ def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[in
     for pos, val in zip(positions, values):
         if not 0 <= pos < f.n:
             raise ConfigError(f"position {pos} out of range")
-        if not 0 <= val < f.domains[pos]:
-            raise ConfigError(f"value {val} outside domain of coordinate {pos}")
+        if not (is_int(val) and 0 <= val < f.domains[pos]):
+            raise ConfigError(f"value {val!r} outside domain of coordinate {pos}")
         indexer[pos] = val
+    block = f._coded[1][tuple(indexer)].ravel()
+    return int(block[0]) if (block == block[0]).all() else None
+
+
+def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:
+    """The output forced by fixing the given coordinates, if it is constant.
+
+    None when the remaining block is not constant, and also when it is
+    constantly the null token.
+    """
+    code = _forced_code(f, positions, values)
+    return None if code is None else f._coded[0][code]
+
+
+_UNFORCED = np.iinfo(np.intp).max
+
+# Layouts depend only on (domains, k, chunk), so tables of one shape share
+# them. Only layouts of at most this many cells are kept, 32 at most.
+_LAYOUT_CACHE_CELLS = 2 ** 16
+
+
+@lru_cache(maxsize=32)
+def _layout(domains: tuple[int, ...], k: int, lo: int, hi: int):
+    """How to gather the k-sets lo..hi-1 (combinations order) out of a flat table.
+
+    Taking the flat table at `gather` lists, set by set and assignment by
+    assignment (mixed-radix order of the set's values), the cells that
+    assignment leaves open; one row per assignment, starting at `starts`.
+    `row_set` and `row_assignment` name each row, and `dims` holds each
+    set's domain sizes.
+    """
+    n = len(domains)
+    cells = np.arange(prod(domains)).reshape(domains)
+    subsets = list(itertools.islice(itertools.combinations(range(n), k), lo, hi))
+    gather = np.concatenate([
+        cells.transpose(list(s) + [p for p in range(n) if p not in s]).ravel()
+        for s in subsets])
+    dims = np.array([[domains[p] for p in s] for s in subsets], dtype=np.intp)
+    rows = dims.prod(axis=1)
+    row_set = np.repeat(np.arange(len(subsets)), rows)
+    row_assignment = np.arange(len(row_set)) - np.repeat(np.cumsum(rows) - rows, rows)
+    row_len = np.repeat(cells.size // rows, rows)
+    starts = np.cumsum(row_len) - row_len
+    return subsets, gather, starts, row_set, row_assignment, dims
+
+
+@dataclass(frozen=True)
+class _Level:
+    """For every k-set (combinations order) and every code: the first
+    assignment, as a mixed-radix index, that forces it, or _UNFORCED."""
+
+    subsets: list[tuple[int, ...]]
+    first: np.ndarray   # (sets, codes)
+    dims: np.ndarray    # (sets, k) domain sizes of each set's coordinates
+
+    def assignments(self, index: np.ndarray) -> list[tuple[int, ...]]:
+        """Per set, the assignment with the given mixed-radix index."""
+        strides = np.cumprod(self.dims[:, :0:-1], axis=1)[:, ::-1]
+        strides = np.concatenate([strides, np.ones((len(self.dims), 1), np.intp)], axis=1)
+        return list(map(tuple, (index[:, None] // strides % self.dims).tolist()))
+
+
+def _build_level(f: FunctionTable, k: int) -> _Level:
+    """One segmented all-equal reduction over every k-set's rows, in chunks
+    of at most PROFILE_BUDGET cells (at least one set per chunk)."""
     tokens, codes = f._coded
-    block = np.ravel(codes[tuple(indexer)])
-    return tokens[block[0]] if (block == block[0]).all() else None
-
-
-def _forcible_tokens(f: FunctionTable, positions: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """The code of every token some assignment to these positions forces,
-    with the first forcing assignment (mixed-radix order) for each."""
-    rest = [p for p in range(f.n) if p not in positions]
-    dims = tuple(f.domains[p] for p in positions)
-    rows = f._coded[1].transpose(list(positions) + rest).reshape(prod(dims), -1)
-    forcing = np.flatnonzero((rows == rows[:, :1]).all(axis=1))
-    forced, first = np.unique(rows[forcing, 0], return_index=True)
-    assignments = zip(*np.unravel_index(forcing[first], dims))
-    return {int(c): tuple(map(int, a)) for c, a in zip(forced, assignments)}
+    flat = codes.ravel()
+    total = comb(f.n, k)
+    chunk = max(1, PROFILE_BUDGET // f.size)
+    subsets, firsts, dims = [], [], []
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        cached = (hi - lo) * f.size <= _LAYOUT_CACHE_CELLS
+        layout = (_layout if cached else _layout.__wrapped__)(f.domains, k, lo, hi)
+        sets, gather, starts, row_set, row_assignment, set_dims = layout
+        vals = flat[gather]
+        low = np.minimum.reduceat(vals, starts)
+        forced = low == np.maximum.reduceat(vals, starts)
+        first = np.full((len(sets), len(tokens)), _UNFORCED, dtype=np.intp)
+        np.minimum.at(first, (row_set[forced], low[forced]), row_assignment[forced])
+        subsets += sets
+        firsts.append(first)
+        dims.append(set_dims)
+    return _Level(subsets, np.concatenate(firsts), np.concatenate(dims))
 
 
 @dataclass(frozen=True)
@@ -181,26 +263,50 @@ class DominanceWitness:
     per_subset: dict[tuple[int, ...], tuple[tuple[int, ...], Token]]
 
     def recheck(self, f: FunctionTable) -> bool:
+        """True iff the witness lists exactly the k-subsets of f's
+        coordinates, each with an in-domain assignment of length k that
+        forces its token (y_star for a strong witness).
+        """
+        if not 0 < self.k <= f.n:
+            return False
+        if set(self.per_subset) != set(itertools.combinations(range(f.n), self.k)):
+            return False
         for subset, (assignment, tok) in self.per_subset.items():
-            if token_key(forced_value(f, subset, assignment)) != token_key(tok):
+            try:
+                got = forced_value(f, subset, assignment)
+            except ConfigError:  # wrong length, or a value outside its domain
                 return False
-            if self.kind == "strong" and token_key(tok) != token_key(self.y_star):
+            if not _same_token(got, tok):
+                return False
+            # forced_value's None also means "not constant"
+            if tok is None and _forced_code(f, subset, assignment) is None:
+                return False
+            if self.kind == "strong" and not _same_token(tok, self.y_star):
                 return False
         return True
 
 
+def _same_token(a: Token, b: Token) -> bool:
+    """Equal as JSON scalars: on int, str, bool and None this agrees with
+    comparing token_key, without encoding."""
+    return type(a) is type(b) and a == b
+
+
 def is_weakly_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
-    """Witness iff every k-subset of coordinates can force *some* value."""
+    """Witness iff every k-subset of coordinates can force *some* value.
+
+    Each subset's witness is its first forcing assignment.
+    """
     if not 0 < k <= f.n:
         raise ConfigError("k must be in 1..n")
+    level = f._level(k)
+    best = level.first.min(axis=1)
+    if (best == _UNFORCED).any():
+        return None
+    codes = level.first.argmin(axis=1)
     tokens = f._coded[0]
-    per_subset = {}
-    for subset in itertools.combinations(range(f.n), k):
-        fmap = _forcible_tokens(f, subset)
-        if not fmap:
-            return None
-        assignment, code = min((a, c) for c, a in fmap.items())
-        per_subset[subset] = (assignment, tokens[code])
+    per_subset = {s: (a, tokens[c]) for s, a, c in
+                  zip(level.subsets, level.assignments(best), codes.tolist())}
     w = DominanceWitness(k=k, kind="weak", y_star=None, qualifying=(), per_subset=per_subset)
     assert w.recheck(f)
     return w
@@ -214,20 +320,16 @@ def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
     """
     if not 0 < k <= f.n:
         raise ConfigError("k must be in 1..n")
-    subsets = list(itertools.combinations(range(f.n), k))
-    forcible = [_forcible_tokens(f, s) for s in subsets]
-    common = set(forcible[0])
-    for fmap in forcible[1:]:
-        common &= set(fmap)
-        if not common:
-            return None
+    level = f._level(k)
+    common = np.flatnonzero((level.first != _UNFORCED).all(axis=0)).tolist()
+    if not common:
+        return None
     tokens = f._coded[0]
-    y_code = min(common)
-    qualifying = tuple(tokens[c] for c in sorted(common))
-    y_star = tokens[y_code]
-    per_subset = {s: (fmap[y_code], y_star) for s, fmap in zip(subsets, forcible)}
-    w = DominanceWitness(k=k, kind="strong", y_star=y_star, qualifying=qualifying,
-                         per_subset=per_subset)
+    y_star = tokens[common[0]]
+    per_subset = {s: (a, y_star) for s, a in
+                  zip(level.subsets, level.assignments(level.first[:, common[0]]))}
+    w = DominanceWitness(k=k, kind="strong", y_star=y_star,
+                         qualifying=tuple(tokens[c] for c in common), per_subset=per_subset)
     assert w.recheck(f)
     return w
 

@@ -256,6 +256,22 @@ def test_oversized_builtin_table_is_refused_unbuilt(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: table has 32 entries")
 
 
+@pytest.mark.parametrize("source", ["table-file", "table-data"])
+def test_oversized_table_is_refused_from_every_source(source, tmp_path, monkeypatch, capsys):
+    from ringbreak.dominance import threshold_table
+
+    table = threshold_table(6, 2).to_json()
+    if source == "table-file":
+        (tmp_path / "t.json").write_text(table)
+        argv = ["compile", "--table", str(tmp_path / "t.json")]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"table_data": json.loads(table)}))
+        argv = ["compile", "--config", str(tmp_path / "c.json")]
+    monkeypatch.setattr(cli, "PROFILE_BUDGET", 16)
+    assert main([*argv, "--t", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: table has 64 entries")
+
+
 ATTACK_CFG = {"protocol": "const:1", "t": 1, "trials": 5}
 
 
@@ -318,6 +334,19 @@ class TestDominanceCommand:
                       name="b.json")
         assert code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_each_level_is_built_once(self, tmp_path, monkeypatch):
+        import ringbreak.dominance as dominance
+
+        built = []
+        real = dominance._build_level
+        monkeypatch.setattr(dominance, "_build_level",
+                            lambda f, k: built.append((id(f), k)) or real(f, k))
+        code, rep = run(tmp_path, "dominance", "--builtin", "thresh:2:6",
+                        "--t", "2", "--collapse-m", "2")
+        assert code == 0 and rep["collapse"]["holds"] is True
+        assert sorted(k for _, k in built) == [1, 2, 3, 4, 5, 6]
+        assert len({table for table, _ in built}) == 1
 
     def test_missing_and_malformed_table(self, tmp_path):
         assert main(["dominance", "--table", str(tmp_path / "nope.json")]) == 2

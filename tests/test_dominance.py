@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from ringbreak.core import ConfigError
 from ringbreak.dominance import (
     COMPUTABLE,
     CONDITIONAL,
+    DominanceWitness,
     FunctionTable,
     NOT_COMPUTABLE,
     and_table,
@@ -33,27 +35,30 @@ from ringbreak.dominance import (
 # Independent re-derivation, no shared helpers: iterate full input vectors
 # instead of slicing, and scan subsets in a different order.
 
-def oracle_forced(table, fixed):
-    """fixed: dict pos->val. Returns the constant output if one exists."""
+def oracle_forced_key(table, fixed):
+    """fixed: dict pos->val. token_key of the constant output, None if the
+    output varies."""
     seen = set()
     axes = [range(d) if i not in fixed else [fixed[i]] for i, d in enumerate(table.domains)]
     for x in itertools.product(*axes):
         seen.add(token_key(table.value(list(x))))
         if len(seen) > 1:
             return None
-    val = table.value([axis[0] if i not in fixed else fixed[i]
-                       for i, (axis, d) in enumerate(zip(axes, table.domains))])
-    return val
+    return seen.pop()
+
+
+def oracle_forced(table, fixed):
+    """The constant output under `fixed`, None if the output varies."""
+    key = oracle_forced_key(table, fixed)
+    return None if key is None else json.loads(key)
 
 
 def oracle_first_forcing(table, subset, want=None):
     """First assignment to subset, in mixed-radix order, that forces some
-    value (or the value whose key is `want`); None if there is none.
-    Tables here have no null output, so None from oracle_forced means
-    nothing is forced."""
+    value (or the value whose key is `want`); None if there is none."""
     for vals in itertools.product(*(range(table.domains[i]) for i in subset)):
-        y = oracle_forced(table, dict(zip(subset, vals)))
-        if y is not None and (want is None or token_key(y) == want):
+        key = oracle_forced_key(table, dict(zip(subset, vals)))
+        if key is not None and (want is None or key == want):
             return vals
     return None
 
@@ -61,9 +66,9 @@ def oracle_first_forcing(table, subset, want=None):
 def oracle_forcible_set(table, subset):
     out = set()
     for vals in itertools.product(*(range(table.domains[i]) for i in subset)):
-        y = oracle_forced(table, dict(zip(subset, vals)))
-        if y is not None:
-            out.add(token_key(y))
+        key = oracle_forced_key(table, dict(zip(subset, vals)))
+        if key is not None:
+            out.add(key)
     return out
 
 
@@ -91,6 +96,20 @@ def random_table(rng, n, max_dom=2):
         size *= d
     outputs = [rng.randint(0, 1) for _ in range(size)]
     return FunctionTable(n=n, domains=tuple(domains), outputs=tuple(outputs))
+
+
+def mixed_table(rng):
+    """n in 1..5, domain sizes 1..4, up to three tokens among ints, null,
+    booleans and strings; one token is hot, so some sets force it."""
+    n = rng.randint(1, 5)
+    domains = tuple(rng.randint(1, 4) for _ in range(n))
+    size = 1
+    for d in domains:
+        size *= d
+    pool = rng.sample([0, 1, None, True, False, "a", "1"], rng.randint(1, 3))
+    hot, p = pool[0], rng.random()
+    outputs = tuple(hot if rng.random() < p else rng.choice(pool) for _ in range(size))
+    return FunctionTable(n=n, domains=domains, outputs=outputs)
 
 
 class TestFunctionTable:
@@ -207,26 +226,64 @@ class TestDeciders:
     def test_weak_matches_oracle(self, seed):
         import random
         rng = random.Random(seed)
-        f = random_table(rng, rng.randint(2, 4), max_dom=3)
+        f = mixed_table(rng)
         k = rng.randint(1, f.n)
         w = is_weakly_k_dominated(f, k)
         assert (w is not None) == oracle_weak(f, k)
         for subset, (assignment, tok) in (w.per_subset.items() if w else ()):
             assert assignment == oracle_first_forcing(f, subset)
-            assert token_key(tok) == token_key(oracle_forced(f, dict(zip(subset, assignment))))
+            assert token_key(tok) == oracle_forced_key(f, dict(zip(subset, assignment)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_strong_matches_oracle(self, seed):
         import random
         rng = random.Random(seed)
-        f = random_table(rng, rng.randint(2, 4), max_dom=3)
+        f = mixed_table(rng)
         k = rng.randint(1, f.n)
         w = is_k_dominated(f, k)
         assert (w is not None) == oracle_strong(f, k)
         for subset, (assignment, tok) in (w.per_subset.items() if w else ()):
             assert token_key(tok) == token_key(w.y_star)
             assert assignment == oracle_first_forcing(f, subset, token_key(w.y_star))
+
+    def test_recheck_needs_every_subset(self):
+        w = is_k_dominated(or_table(3), 2)
+        assert not replace(w, per_subset={}).recheck(xor_table(3))
+        assert not replace(w, k=4, per_subset={}).recheck(or_table(3))
+        missing = dict(list(w.per_subset.items())[1:])
+        assert not replace(w, per_subset=missing).recheck(or_table(3))
+        extra = {**w.per_subset, (0, 0): ((1, 1), 1)}
+        assert not replace(w, per_subset=extra).recheck(or_table(3))
+
+    @pytest.mark.parametrize("assignment", [(1,), (1, 1, 1), (1, 2), (1, True), (1, 0.5)])
+    def test_recheck_needs_in_domain_assignments(self, assignment):
+        w = is_k_dominated(or_table(3), 2)
+        bad = {**w.per_subset, (0, 1): (assignment, 1)}
+        assert not replace(w, per_subset=bad).recheck(or_table(3))
+
+    def test_recheck_tells_varying_from_null(self):
+        claim = {(0,): ((0,), None), (1,): ((1,), 1)}
+        w = DominanceWitness(k=1, kind="weak", y_star=None, qualifying=(), per_subset=claim)
+        # x0 = 0 leaves null and 1
+        assert not w.recheck(FunctionTable(n=2, domains=(2, 2), outputs=(None, 1, 1, 1)))
+        forced_null = {(0,): ((0,), None), (1,): ((0,), None)}
+        assert replace(w, per_subset=forced_null).recheck(
+            FunctionTable(n=2, domains=(2, 2), outputs=(None, None, None, 1)))
+
+    def test_chunked_levels_match_unchunked(self, monkeypatch):
+        import random
+        import ringbreak.dominance as dominance
+
+        rng = random.Random(5)
+        tables = [mixed_table(rng) for _ in range(30)] + [threshold_table(6, 2)]
+        whole = [[(is_weakly_k_dominated(f, k), is_k_dominated(f, k))
+                  for k in range(1, f.n + 1)] for f in tables]
+        for budget in (1, 150):  # one set per chunk; a few sets per chunk
+            monkeypatch.setattr(dominance, "PROFILE_BUDGET", budget)
+            fresh = [FunctionTable(n=f.n, domains=f.domains, outputs=f.outputs) for f in tables]
+            assert [[(is_weakly_k_dominated(f, k), is_k_dominated(f, k))
+                     for k in range(1, f.n + 1)] for f in fresh] == whole
 
     def test_one_and_true_are_different_outputs(self):
         # a relabelled XOR: Python's True == 1 must not merge the two outputs
