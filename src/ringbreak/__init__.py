@@ -19,7 +19,6 @@ from .compiler import (
     ComparisonReport,
     HybridAdversary,
     IdealDecision,
-    UnsupportedSubcase,
     WrappedProtocol,
     always_abort_adversary,
     coin_abort_adversary,

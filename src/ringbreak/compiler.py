@@ -10,25 +10,31 @@ no-abort full ideal reproduces the wrapper's output distribution exactly,
 because an abort can only be triggered by a coalition big enough (|I| > t1,
 so |I| >= n-2t) to force y* through its own inputs.
 
-The threshold oracle is used as an ideal primitive; realizing it from
-concrete protocols is out of scope here. Adversaries for this module are
-declarative: a corrupted set plus probability-weighted decisions, with exact
-Fraction weights so distributions can be compared exactly.
+This covers the whole honest-majority band n/3 <= t < n/2, including
+s = n-2t = 1: there t1 = 0, so any coalition may abort, and the 1-dominance
+witness lets any single corrupted party force y*. t >= n/2 is refused. The
+threshold oracle is used as an ideal primitive; realizing it from concrete
+protocols is out of scope here.
+
+Adversaries for this module are declarative: a corrupted set plus
+probability-weighted decisions, with exact Fraction weights. A joint outcome
+depends only on the decision taken, so the real-vs-ideal comparison
+evaluates each branch once on each side and weighs it, exactly or by its
+Monte-Carlo draw count.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Any, Optional, Sequence
 
 from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, is_int, outcome_repr
 from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated
-
-
-class UnsupportedSubcase(ConfigError):
-    """Parameter range the wrapper deliberately does not cover."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,6 @@ class IdealDecision:
     def __post_init__(self):
         if self.abort and self.inputs:
             raise ConfigError("an aborting decision carries no inputs")
-
-    @staticmethod
-    def make_abort() -> "IdealDecision":
-        return IdealDecision(abort=True)
 
     @staticmethod
     def substitute(mapping: dict[int, Token]) -> "IdealDecision":
@@ -110,15 +112,16 @@ class HybridAdversary:
         if total != 1:
             raise ConfigError(f"branch weights sum to {total}, not 1")
 
+    @cached_property
+    def _cutoffs(self) -> list[int]:
+        """Branch i is drawn for a 64-bit uniform u below cutoff i: the exact
+        test u / 2^64 < w_0 + ... + w_i, in integers."""
+        return [math.ceil(acc * 2 ** 64) for acc in accumulate(w for w, _ in self.branches)]
+
     def draw(self, seed: int) -> tuple[int, IdealDecision]:
         """Sample a branch; exact threshold comparison on a 64-bit uniform."""
-        u = Fraction(CoinStream(seed, b"hybrid-branch").u64(0), 2 ** 64)
-        acc = Fraction(0)
-        for idx, (w, decision) in enumerate(self.branches):
-            acc += w
-            if u < acc:
-                return idx, decision
-        return len(self.branches) - 1, self.branches[-1][1]
+        idx = bisect_right(self._cutoffs, CoinStream(seed, b"hybrid-branch").u64(0))
+        return idx, self.branches[idx][1]
 
 
 def never_abort_adversary(corrupted: Sequence[int], inputs: dict[int, Token]) -> HybridAdversary:
@@ -128,7 +131,7 @@ def never_abort_adversary(corrupted: Sequence[int], inputs: dict[int, Token]) ->
 
 def always_abort_adversary(corrupted: Sequence[int]) -> HybridAdversary:
     return HybridAdversary(tuple(sorted(corrupted)),
-                           ((Fraction(1), IdealDecision.make_abort()),))
+                           ((Fraction(1), IdealDecision(abort=True)),))
 
 
 def coin_abort_adversary(corrupted: Sequence[int], p_abort: Fraction,
@@ -136,7 +139,7 @@ def coin_abort_adversary(corrupted: Sequence[int], p_abort: Fraction,
     if not 0 < p_abort < 1:
         raise ConfigError("abort probability must be strictly between 0 and 1")
     return HybridAdversary(tuple(sorted(corrupted)), (
-        (p_abort, IdealDecision.make_abort()),
+        (p_abort, IdealDecision(abort=True)),
         (Fraction(1) - p_abort, IdealDecision.substitute(inputs)),
     ))
 
@@ -203,9 +206,6 @@ def wrap_dominated(f: FunctionTable, n: int, t: int) -> WrappedProtocol:
     if not (3 * t >= n and 2 * t < n):
         raise ConfigError(f"need n/3 <= t < n/2; got n={n}, t={t}")
     s = n - 2 * t
-    if s < 2:
-        raise UnsupportedSubcase(
-            "n-2t = 1 needs the cryptographic compilation path, not this wrapper")
     witness = is_k_dominated(f, s)
     if witness is None:
         raise ConfigError(f"{f.name} is not {s}-dominated; the wrapper does not apply")
@@ -254,7 +254,7 @@ def enumerate_decisions(wrapped: WrappedProtocol, corrupted: Sequence[int]) -> l
     corrupt = sorted(set(corrupted))
     decisions = []
     if len(corrupt) > wrapped.t1:
-        decisions.append(IdealDecision.make_abort())
+        decisions.append(IdealDecision(abort=True))
     doms = [range(wrapped.f.domains[i]) for i in corrupt]
     for values in product(*doms):
         decisions.append(IdealDecision.substitute(dict(zip(corrupt, values))))
@@ -280,35 +280,33 @@ def compare_real_ideal(wrapped: WrappedProtocol, adversary: HybridAdversary,
                        trials: int = 100_000, seed: int = 0) -> ComparisonReport:
     """Statistical distance between wrapper and simulated-ideal joint outputs.
 
-    Exhaustive mode walks the adversary's branches with exact Fraction
-    weights; Monte-Carlo mode draws each side's branch on its own per-trial
-    seed.
+    A record depends only on the branch, so each branch's real and simulated
+    record is computed once and weighted. Exhaustive mode weights it by its
+    exact probability; Monte-Carlo mode, per side, by the share of trials
+    whose own seed draws it. The distance is one exact sum either way.
     """
-    corrupt = adversary.corrupted
     if exhaustive:
-        real: dict = {}
-        ideal: dict = {}
-        for branch, (w, decision) in enumerate(adversary.branches):
-            r = wrapped.run_decision(inputs, corrupt, decision, branch)
-            real[r.key()] = real.get(r.key(), Fraction(0)) + w
-            s = simulate_ideal(wrapped, inputs, corrupt, decision, branch)
-            ideal[s.key()] = ideal.get(s.key(), Fraction(0)) + w
-        support = set(real) | set(ideal)
-        tv = sum(abs(real.get(k, Fraction(0)) - ideal.get(k, Fraction(0))) for k in support) / 2
-        return ComparisonReport(method="exhaustive", distance=float(tv),
-                                exact_zero=(tv == 0), trials=None,
-                                real_dist=_dist_to_json(real), ideal_dist=_dist_to_json(ideal))
-    real_counts: dict = {}
-    ideal_counts: dict = {}
-    for i in range(trials):
-        branch, decision = adversary.draw(derive_seed(seed, "compare", i))
-        r = wrapped.run_decision(inputs, corrupt, decision, branch)
-        real_counts[r.key()] = real_counts.get(r.key(), 0) + 1
-        branch, decision = adversary.draw(derive_seed(seed, "compare-sim", i))
-        s = simulate_ideal(wrapped, inputs, corrupt, decision, branch)
-        ideal_counts[s.key()] = ideal_counts.get(s.key(), 0) + 1
-    support = set(real_counts) | set(ideal_counts)
-    tv = sum(abs(real_counts.get(k, 0) - ideal_counts.get(k, 0)) for k in support) / (2 * trials)
-    return ComparisonReport(method="monte-carlo", distance=tv, exact_zero=None, trials=trials,
-                            real_dist=_dist_to_json({k: v / trials for k, v in real_counts.items()}),
-                            ideal_dist=_dist_to_json({k: v / trials for k, v in ideal_counts.items()}))
+        weights = [(w, w) for w, _ in adversary.branches]
+    else:
+        if trials < 1:
+            raise ConfigError(f"Monte-Carlo comparison needs at least one trial, got {trials}")
+        draws = [[0, 0] for _ in adversary.branches]
+        for i in range(trials):
+            draws[adversary.draw(derive_seed(seed, "compare", i))[0]][0] += 1
+            draws[adversary.draw(derive_seed(seed, "compare-sim", i))[0]][1] += 1
+        weights = [(Fraction(r, trials), Fraction(s, trials)) for r, s in draws]
+    corrupt = adversary.corrupted
+    real: dict = {}
+    ideal: dict = {}
+    for branch, ((w_real, w_ideal), (_, decision)) in enumerate(zip(weights, adversary.branches)):
+        if w_real:
+            key = wrapped.run_decision(inputs, corrupt, decision, branch).key()
+            real[key] = real.get(key, 0) + w_real
+        if w_ideal:
+            key = simulate_ideal(wrapped, inputs, corrupt, decision, branch).key()
+            ideal[key] = ideal.get(key, 0) + w_ideal
+    tv = sum(abs(real.get(k, 0) - ideal.get(k, 0)) for k in set(real) | set(ideal)) / 2
+    return ComparisonReport(method="exhaustive" if exhaustive else "monte-carlo",
+                            distance=float(tv), exact_zero=(tv == 0) if exhaustive else None,
+                            trials=None if exhaustive else trials,
+                            real_dist=_dist_to_json(real), ideal_dist=_dist_to_json(ideal))

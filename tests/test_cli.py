@@ -375,9 +375,22 @@ class TestCompileCommand:
     def test_not_dominated_is_usage_error(self, tmp_path):
         assert main(["compile", "--builtin", "xor:6", "--t", "2", "--seed", "1"]) == 2
 
-    def test_unsupported_subcase(self, tmp_path):
+    def test_not_one_dominated_is_usage_error(self, capsys):
         assert main(["compile", "--builtin", "thresh:2:5", "--t", "2",
                      "--seed", "1"]) == 2
+        assert "not 1-dominated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builtin,t,adv", [
+        ("or:3", "1", "coin:1/2"),
+        ("or:5", "2", "abort"),
+    ])
+    def test_one_extra_honest_party_is_wrapped(self, tmp_path, builtin, t, adv):
+        code, rep = run(tmp_path, "compile", "--builtin", builtin, "--t", t,
+                        "--adv", adv, "--seed", "1")
+        assert code == 0
+        assert rep["exact_zero"] is True
+        assert rep["no_bot"] is True and rep["abort_forces_y_star"] is True
+        assert rep["s"] == 1 and rep["t1"] == 0
 
     def test_bad_adversary_selector(self, tmp_path):
         assert main(["compile", "--builtin", "thresh:2:6", "--t", "2",

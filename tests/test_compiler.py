@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
+from ringbreak import compiler
 from ringbreak.compiler import (
     HybridAdversary,
     IdealDecision,
-    UnsupportedSubcase,
+    WrappedProtocol,
     always_abort_adversary,
     coin_abort_adversary,
     compare_real_ideal,
@@ -20,7 +21,15 @@ from ringbreak.compiler import (
     wrap_dominated,
 )
 from ringbreak.core import BOT, ConfigError, SpecViolation
-from ringbreak.dominance import or_table, threshold_table, xor_table
+from ringbreak.dominance import (
+    COMPUTABLE,
+    and_table,
+    classify,
+    constant_table,
+    or_table,
+    threshold_table,
+    xor_table,
+)
 
 
 class TestFullIdeal:
@@ -58,9 +67,9 @@ class TestThresholdIdeal:
 
     def test_abort_needs_large_coalition(self):
         honest = {i: 0 for i in range(6) if i not in (4, 5)}
-        assert self.wrapped().oracle(honest, IdealDecision.make_abort(), [4, 5]) is BOT
+        assert self.wrapped().oracle(honest, IdealDecision(abort=True), [4, 5]) is BOT
         with pytest.raises(SpecViolation):
-            self.wrapped().oracle({i: 0 for i in range(5)}, IdealDecision.make_abort(), [5])
+            self.wrapped().oracle({i: 0 for i in range(5)}, IdealDecision(abort=True), [5])
 
     def test_tolerance_cap(self):
         honest = {i: 0 for i in range(3)}
@@ -86,10 +95,10 @@ class TestDecisionsAndAdversaries:
         with pytest.raises(ConfigError):
             HybridAdversary((0,), ())
         with pytest.raises(ConfigError):
-            HybridAdversary((0,), ((Fraction(1, 2), IdealDecision.make_abort()),))
+            HybridAdversary((0,), ((Fraction(1, 2), IdealDecision(abort=True)),))
         with pytest.raises(ConfigError):
             HybridAdversary((0,), (
-                (Fraction(-1, 2), IdealDecision.make_abort()),
+                (Fraction(-1, 2), IdealDecision(abort=True)),
                 (Fraction(3, 2), IdealDecision.substitute({})),
             ))
         with pytest.raises(ConfigError):
@@ -104,21 +113,43 @@ class TestDecisionsAndAdversaries:
 
 class TestWrapper:
     def test_parameter_arithmetic_sweep(self):
-        for n in range(6, 13):
+        for n in range(3, 13):
             for t in range((n + 2) // 3, (n - 1) // 2 + 1):
-                if n - 2 * t < 2:
-                    with pytest.raises(UnsupportedSubcase):
-                        wrap_dominated(or_table(n), n, t)
-                    continue
                 w = wrap_dominated(or_table(n), n, t)
                 assert w.s == n - 2 * t
                 assert w.t1 == n - 2 * t - 1 and w.t2 == t
+                if w.s < 2:
+                    assert w.t1 == 0  # any coalition may abort
                 assert w.t1 <= w.t2 and w.t1 + 2 * w.t2 < n
                 assert w.y_star == 1
 
-    def test_one_extra_honest_party_unsupported(self):
-        with pytest.raises(UnsupportedSubcase):
-            wrap_dominated(or_table(5), 5, 2)
+    def test_one_extra_honest_party_is_exact(self):
+        # s = n-2t = 1: every coalition may abort, and one corrupted party's
+        # input already forces y*
+        w = wrap_dominated(or_table(5), 5, 2)
+        assert (w.s, w.t1, w.t2, w.y_star) == (1, 0, 2, 1)
+        for inputs in ([0] * 5, [0, 1, 0, 0, 1]):
+            for size in (1, 2):
+                for coalition in combinations(range(5), size):
+                    sub = dict.fromkeys(coalition, 0)
+                    for adv in (never_abort_adversary(coalition, sub),
+                                always_abort_adversary(coalition),
+                                coin_abort_adversary(coalition, Fraction(1, 3), sub)):
+                        rep = compare_real_ideal(w, adv, inputs, exhaustive=True)
+                        assert rep.exact_zero is True and rep.distance == 0.0
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_computable_exactly_when_wrappable(self, n):
+        tables = [or_table(n), and_table(n), xor_table(n), constant_table(n, 1),
+                  *(threshold_table(n, k) for k in range(1, n + 1))]
+        for t in range((n + 2) // 3, (n - 1) // 2 + 1):
+            for f in tables:
+                try:
+                    wrap_dominated(f, n, t)
+                    wrapped = True
+                except ConfigError:
+                    wrapped = False
+                assert (classify(f, n, t).verdict == COMPUTABLE) == wrapped, (f.name, t)
 
     def test_out_of_band_t_rejected(self):
         with pytest.raises(ConfigError):
@@ -144,14 +175,14 @@ class TestWrapper:
 
     def test_abort_becomes_y_star(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        rec = w.run_decision([0] * 6, [4, 5], IdealDecision.make_abort())
+        rec = w.run_decision([0] * 6, [4, 5], IdealDecision(abort=True))
         assert rec.honest_outputs == (1,) * 4
         assert "ABORT" in rec.adv_output
 
     def test_small_coalition_cannot_abort(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
         with pytest.raises(SpecViolation):
-            w.run_decision([0] * 6, [5], IdealDecision.make_abort())
+            w.run_decision([0] * 6, [5], IdealDecision(abort=True))
 
 
 class TestEnumerationAndSweep:
@@ -219,9 +250,31 @@ class TestRealVsIdeal:
         assert rep.exact_zero is None
         assert rep.distance < 0.05
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_monte_carlo_needs_a_trial(self, trials):
+        w = wrap_dominated(threshold_table(6, 2), 6, 2)
+        adv = coin_abort_adversary([4, 5], Fraction(1, 2), {4: 1, 5: 1})
+        with pytest.raises(ConfigError):
+            compare_real_ideal(w, adv, [0] * 6, exhaustive=False, trials=trials)
+
+    def test_monte_carlo_evaluates_each_branch_once(self, monkeypatch):
+        w = wrap_dominated(threshold_table(6, 2), 6, 2)
+        adv = coin_abort_adversary([4, 5], Fraction(1, 2), {4: 1, 5: 1})
+        calls = []
+        run_decision, sim = WrappedProtocol.run_decision, compiler.simulate_ideal
+        monkeypatch.setattr(WrappedProtocol, "run_decision",
+                            lambda *a, **kw: calls.append("real") or run_decision(*a, **kw))
+        monkeypatch.setattr(compiler, "simulate_ideal",
+                            lambda *a, **kw: calls.append("ideal") or sim(*a, **kw))
+        rep = compare_real_ideal(w, adv, [0, 1, 0, 1, 0, 0],
+                                 exhaustive=False, trials=2000, seed=5)
+        assert rep.trials == 2000 and rep.distance < 0.1
+        assert 1 <= calls.count("real") <= len(adv.branches)
+        assert 1 <= calls.count("ideal") <= len(adv.branches)
+
     def test_simulator_shows_bot_on_abort(self):
         w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        rec = simulate_ideal(w, [0] * 6, [4, 5], IdealDecision.make_abort())
+        rec = simulate_ideal(w, [0] * 6, [4, 5], IdealDecision(abort=True))
         # honest see the forced value, the adversary still sees an abort
         assert set(rec.honest_outputs) == {w.y_star}
         assert rec.adv_output.endswith("->BOT")

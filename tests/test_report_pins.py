@@ -52,6 +52,9 @@ PINNED = [
     ("attack", {"protocol": "fair_coin", "n": 3, "t": 1, "trials": 40, "seed": 2,
                 "delta_trials": 100},
      "3c2dba4e8bc364be5b2bf637dac304dff97aa198102c54a2d4360f67f224a9ac"),
+    # s = n-2t = 1: t1 = 0, so the lone corrupted party may abort
+    ("compile", {"builtin": "or:3", "t": 1, "adv": "coin:1/2", "mc_trials": 200, "seed": 9},
+     "223ffd65f69cab835668f3dc08d5529a9f89d11e351ca60d04c0f1d92b3fa42d"),
 ]
 
 
