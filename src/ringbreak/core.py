@@ -122,8 +122,10 @@ class CoinStream:
     def read(self, offset: int, n: int) -> bytes:
         if offset < 0 or n < 0:
             raise ValueError("negative coin read")
-        out = bytearray()
         idx, within = divmod(offset, 32)
+        if within + n <= 32:
+            return self._block(idx)[within:within + n]
+        out = bytearray()
         while len(out) < n:
             out += self._block(idx)[within:]
             within = 0

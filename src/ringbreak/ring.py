@@ -4,12 +4,16 @@ A ring run chains m copies of the roles A,B,C of a 3-party protocol around a
 cycle of 3m slots (A1 B1 C1 A2 ... Cm). Each slot runs its role's unmodified
 program with its neighbor ids relabeled, so locally every slot sees a
 perfectly ordinary 3-party execution. Information travels one hop per round,
-so any slot's view over r rounds is determined by the slots within distance r;
-that locality is what the one bridge below (`RingBridge`) exploits: it drops
-real honest parties into adjacent slots and simulates the whole remaining
-ring. The consistency probe and the attack are that bridge over two rings: the
+so any slot's view over r rounds is determined by the slots within distance r.
+The simulator (`VirtualRing`) runs on that rule: it is told which slots are
+observed, lets a slot at distance d from them run d steps behind, and never
+runs a step that cannot reach an observed slot before the run ends. The one
+bridge below (`RingBridge`) drops real honest parties into adjacent slots and
+simulates the remaining ring, observing the slots next to the real parties.
+The consistency probe and the attack are that bridge over two rings: the
 probe bridges into a freshly sampled ring, the attack into the offline phase-1
-ring, whose far slot's output it announces before the first message is sent.
+ring, whose far slot P* (the one slot phase 1 observes) has its output
+announced before the first message is sent.
 
 The n-party reduction partitions the parties into three groups and fuses each
 group into one super-party, turning any n-party protocol into a 3-party one
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -42,6 +47,7 @@ from .netsim import (
     AdversaryStrategy,
     ExecutionResult,
     Send,
+    _route_check,
     deliver,
     run_honest,
     step_parties,
@@ -173,6 +179,8 @@ def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *
     passing the cap leaves the declared round bound unenforced, because rings
     are the attack surface, not the protocol under test. Each slot reaches
     only its two ring neighbours: `RingSlotProgram` refuses any other edge.
+    Every slot is stepped; this is the full-ring reference that the light
+    cones `VirtualRing` runs are checked against.
     """
     return run_honest(ring.engine_spec(overrides), w, seed, max_rounds=rounds_cap,
                       record=record)
@@ -199,6 +207,7 @@ def _best_far_slot(size: int) -> tuple[int, int]:
     return best_slot, best_d
 
 
+@lru_cache(maxsize=128)
 def attack_ring_size(q: int, variant: str) -> int:
     """Number of copies m so the far slot is outside honest influence range.
 
@@ -221,6 +230,7 @@ def attack_ring_size(q: int, variant: str) -> int:
     return m
 
 
+@lru_cache(maxsize=128)
 def attack_geometry(q: int, variant: str) -> tuple[int, int, int]:
     """Phase-1 ring for a round budget q: copies m, far slot P* and P*'s
     distance from the honest window."""
@@ -247,6 +257,25 @@ class AttackPhase1Result:
     ring: RingNetwork = field(repr=False)
 
 
+def _pstar_run(ring: RingNetwork, w: JointInput, seed: int, pstar: int,
+               m: int) -> tuple[object, Optional[int]]:
+    """P*'s outcome and halt round in the honest ring run cut off after m
+    rounds, computed from P*'s light cone alone.
+
+    Matches `emulate_ring(ring, w, m, seed)` at P*: steps 1..m+1 run, the last
+    being the flush step whose sends are dropped; a halt at step r is recorded
+    as min(r, m), a halt at init as 0, and no halt as (RUNNING, None).
+    """
+    vring = VirtualRing(ring, w, seed, {}, observed=(pstar,))
+    for r in range(m + 2):
+        if r:
+            vring.step(r, ())
+        y = vring.outcome(pstar)
+        if y is not None:
+            return y, min(r, m)
+    return RUNNING, None
+
+
 def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> AttackPhase1Result:
     """Up to z offline ring runs on fixed w, each with fresh coins and cut off
     after m rounds; the first in which P* halts fixes y*."""
@@ -255,14 +284,13 @@ def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> Att
     w = ring.zeros_w()
     for it in range(1, z + 1):
         exec_seed = derive_seed(seed, "phase1", it)
-        res = emulate_ring(ring, w, rounds_cap=m, seed=exec_seed)
-        if res.outcomes[pstar] is not RUNNING:
+        y, halt_round = _pstar_run(ring, w, exec_seed, pstar, m)
+        if y is not RUNNING:
             break
-    y = res.outcomes[pstar]
     return AttackPhase1Result(
         variant=variant, m=m, q=q, pstar=pstar, pstar_distance=dist,
         y_star=None if y is RUNNING else y, w=w, seed=exec_seed, iterations_used=it,
-        aborted=y is RUNNING, pstar_halt_round=res.halt_rounds[pstar], ring=ring,
+        aborted=y is RUNNING, pstar_halt_round=halt_round, ring=ring,
     )
 
 
@@ -307,45 +335,113 @@ def honest_slot_map(corrupted: frozenset[int]) -> dict[int, int]:
     return table[key]
 
 
-class VirtualRing:
-    """Adversary-internal emulation of the ring minus the real parties' slots.
+@lru_cache(maxsize=256)
+def _lag_layers(size: int, external: tuple[int, ...], observed: tuple[int, ...]
+                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The simulated slots by lag, their ring distance to the nearest observed
+    slot, each layer in ascending slot order; and per layer, the slots whose
+    lower-numbered neighbour lags more than the higher-numbered one, so that
+    their two simulated senders' messages arrive out of slot order."""
+    lag = {s: min(ring_distance(size, s, o) for o in observed)
+           for s in range(size) if s not in external}
+    layers = tuple(tuple(s for s in range(size) if lag.get(s) == d)
+                   for d in range(max(lag.values()) + 1))
 
-    Stepped once per real round, in lockstep. Messages from the real parties
-    are fed in as sends from their slots; sends virtual slots address to those
-    slots are returned for the adversary to deliver over real channels.
+    def out_of_order(s: int) -> bool:
+        lo, hi = sorted(((s - 1) % size, (s + 1) % size))
+        return lo in lag and hi in lag and lag[lo] > lag[hi]
+
+    return layers, tuple(tuple(filter(out_of_order, layer)) for layer in layers)
+
+
+class VirtualRing:
+    """Adversary-internal emulation of the ring minus the real parties'
+    slots, run only as far as the observed slots can see.
+
+    `external` maps the real parties' slots to their party ids: messages from
+    the real parties are fed in as sends from those slots, and the sends the
+    simulated slots address to them are returned for the adversary to deliver
+    over real channels. `w` and `seed` give every slot's input and coins (the
+    external slots' entries are not read). The observed slots default to the
+    simulated neighbours of the external slots.
+
+    Lag rule: a slot at ring distance d from the nearest observed slot runs d
+    steps behind them, so in real round r it takes its step r - d. Each real
+    round steps the lag groups farthest first through `step_parties`, so a
+    message reaches its receiver's step exactly when it would in the full
+    ring, and each inbox holds what the full ring gives it in the same order:
+    simulated senders in ascending slot order, then the fed real sends. Steps
+    a slot would take after r - d cannot reach an observed slot by round r,
+    and are not run. A slot's program starts on its first step. Every
+    computed send is route-checked.
     """
 
-    def __init__(self, ring: RingNetwork, entries: dict[int, JointEntry], seed: int,
-                 external: dict[int, int], round_cap: Optional[int] = None):
+    def __init__(self, ring: RingNetwork, w: JointInput, seed: int,
+                 external: dict[int, int], round_cap: Optional[int] = None,
+                 observed: Optional[Sequence[int]] = None):
+        size = ring.size
         self.ring = ring
+        self.w = w
+        self.seed = seed
         self.external = external  # slot -> real party id
         self.round_cap = round_cap
-        self.truncated = False
-        self.programs = {s: ring.slot_program(s) for s in range(ring.size) if s not in external}
-        self.states = {s: prog.init(entries[s].input, entries[s].coins(seed))
-                       for s, prog in self.programs.items()}
-        self.live = [s for s, prog in self.programs.items()
-                     if prog.finished(self.states[s]) is None]
-        self.pending: dict[int, dict[int, bytes]] = {}
+        if observed is None:
+            observed = {(e + d) % size for e in external for d in (-1, 1)} - set(external)
+        self.layers, self.out_of_order = _lag_layers(size, tuple(sorted(external)),
+                                                     tuple(sorted(observed)))
+        self.programs: dict[int, RingSlotProgram] = {}
+        self.states: dict[int, object] = {}
+        self.live: list[list[int]] = [[] for _ in self.layers]  # per lag, unhalted slots
+        self.inboxes: dict[int, dict[int, dict[int, bytes]]] = {}  # step -> receiver -> inbox
+        self._start(0)
+
+    def _start(self, lag: int) -> None:
+        w, seed = self.w, self.seed
+        for s in self.layers[lag]:
+            prog = self.programs[s] = self.ring.slot_program(s)
+            state = self.states[s] = prog.init(w[s].input, w[s].coins(seed))
+            if prog.finished(state) is None:
+                self.live[lag].append(s)
+
+    def outcome(self, slot: int):
+        """Outcome of a started slot, None while it runs."""
+        return self.programs[slot].finished(self.states[slot])
 
     def step(self, round_no: int, fed: Sequence[Send]) -> list[Send]:
-        deliver(fed, self.pending)
         if self.round_cap is not None and round_no > self.round_cap:
-            self.truncated = True
-            self.pending = {}
             return []
-        programs, states = self.programs, self.states
-        sends = step_parties(programs, states, self.live, round_no, self.pending)
-        self.live = [s for s in self.live if programs[s].finished(states[s]) is None]
-        self.pending = deliver(sends)  # external slots are never stepped here
-        return [send for send in sends if send[1] in self.external]
+        programs, states, inboxes = self.programs, self.states, self.inboxes
+        size, external, last = self.ring.size, self.external, len(self.layers) - 1
+        boundary: list[Send] = []
+        for lag in range(min(round_no - 1, last), -1, -1):
+            k = round_no - lag
+            if k == 1 and lag:
+                self._start(lag)
+            boxes = inboxes.pop(k, {}) if lag == last else inboxes.setdefault(k, {})
+            for s in self.out_of_order[lag]:
+                box = boxes.get(s)
+                if box is not None and len(box) > 1:
+                    boxes[s] = dict(sorted(box.items()))
+            if lag == 0:
+                deliver(fed, boxes)
+            live = self.live[lag]
+            sends = step_parties(programs, states, live, k, boxes)
+            self.live[lag] = [s for s in live if programs[s].finished(states[s]) is None]
+            nxt = inboxes.setdefault(k + 1, {})
+            for send in sends:
+                _route_check(size, *send)
+                if send[1] in external:
+                    boundary.append(send)
+                else:
+                    nxt.setdefault(send[1], {})[send[0]] = send[2]
+        return boundary
 
 
 class RingBridge(AdversaryStrategy):
     """Real honest parties in adjacent slots of a ring the adversary simulates.
 
     `slots` maps each honest party to its slot; the other roles are corrupted.
-    The remaining slots run in a VirtualRing in lockstep with the real rounds,
+    The remaining slots run in a VirtualRing stepped once per real round,
     and each honest party's channel to a corrupted role bridges to the
     neighboring virtual slot. Subclasses choose the ring input and seed.
     """
@@ -373,9 +469,7 @@ class RingBridge(AdversaryStrategy):
 
     def init(self, ctx: AdversaryContext):
         w, seed = self.ring_input(ctx)
-        entries = {s: w[s] for s in range(self.ring.size) if s not in self.external}
-        return VirtualRing(self.ring, entries, seed, dict(self.external),
-                           round_cap=self.virtual_round_cap)
+        return VirtualRing(self.ring, w, seed, self.external, round_cap=self.virtual_round_cap)
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
         # traffic between corrupted parties has no bridge; nothing to simulate

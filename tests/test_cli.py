@@ -56,6 +56,14 @@ class TestAttack:
         rep = json.loads(capsys.readouterr().out)
         assert rep["kind"] == "attack" and rep["success"] == 20
 
+    def test_oversize_message_in_phase1_light_cone_exits_1(self, capsys):
+        # at n=27 each fused echo_xor:2 round-2 bundle carries 81 member
+        # messages (5176 bytes): P* sends one on its own second step
+        code = main(["attack", "--protocol", "echo_xor:2", "--n", "27", "--t", "9",
+                     "--trials", "1", "--delta-trials", "100", "--seed", "1"])
+        assert code == 1
+        assert "exceeds 4096 byte cap" in capsys.readouterr().err
+
     def test_jobs_do_not_change_the_report(self, tmp_path):
         args = ["attack", "--protocol", "echo_xor:2", "--t", "1",
                 "--trials", "40", "--seed", "3", "--delta-trials", "100"]

@@ -1,6 +1,8 @@
 """Core model: coin streams, seeds, domains, joint inputs, contract probing."""
 
+import hashlib
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +75,36 @@ class TestCoinStream:
     def test_read_slices_agree(self, offset, n):
         s = CoinStream(1234, b"hyp")
         assert s.read(offset, n) == s.read(0, offset + n)[offset:]
+
+    @staticmethod
+    def _loop_read(seed, label, offset, n):
+        """The block loop every read took before single-block reads were
+        sliced: SHA-256 blocks over (seed, label, index), concatenated."""
+        prefix = b"ringbreak-coins" + struct.pack("<Q", seed) + struct.pack("<I", len(label)) + label
+        out = bytearray()
+        idx, within = divmod(offset, 32)
+        while len(out) < n:
+            out += hashlib.sha256(prefix + struct.pack("<Q", idx)).digest()[within:]
+            within = 0
+            idx += 1
+        return bytes(out[:n])
+
+    @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=0, max_value=100))
+    def test_reads_match_block_loop(self, offset, n):
+        # single-block reads take the sliced fast path, the rest the loop;
+        # offsets 25..31 make every u64 read cross a block boundary
+        s = CoinStream(99, b"loop")
+        assert s.read(offset, n) == self._loop_read(99, b"loop", offset, n)
+        want = int.from_bytes(self._loop_read(99, b"loop", offset, 8), "little")
+        assert s.u64(offset) == want
+        assert s.uniform(offset) == want / 2.0**64
+
+    def test_u64_at_every_block_position(self):
+        s = CoinStream(5, b"pos")
+        for offset in range(64):
+            want = self._loop_read(5, b"pos", offset, 8)
+            assert s.read(offset, 8) == want
+            assert s.u64(offset) == int.from_bytes(want, "little")
 
 
 class TestDeriveSeed:

@@ -1,24 +1,36 @@
 """Ring composition, locality, bridging adversaries, fusion, n-party attack."""
 
+import hashlib
+
 import pytest
 
+import ringbreak.ring as ring_module
 from ringbreak.core import (
     CoinStream,
     ConfigError,
     JointEntry,
     JointInput,
+    PartyProgram,
+    ProtocolSpec,
     RUNNING,
+    RawInput,
+    RoundBound,
+    SpecViolation,
     derive_seed,
 )
-from ringbreak.netsim import run_honest, run_with_adversary
+from ringbreak.netsim import MESSAGE_CAP, deliver, run_honest, run_with_adversary, step_parties
 from ringbreak.ring import (
     AttackAdversary,
     HONEST_WINDOW,
     NeighborEmbeddingAdversary,
     RingNetwork,
+    RingSlotProgram,
+    VirtualRing,
     _best_far_slot,
     _bundle,
+    _lag_layers,
     _unbundle,
+    attack_geometry,
     attack_n_party,
     attack_ring_size,
     embedding_family,
@@ -424,3 +436,244 @@ class TestNPartyAttack:
         spec = make_geom_halt(5, 1e-9)
         atk = attack_n_party(spec, 2, (4,), 1, variant="expected", q_expected=1, z=2)
         assert atk.phase1.aborted and atk.adversary is None and atk.y_star is None
+
+
+class FullVirtualRing:
+    """Reference bridge simulator: steps every simulated slot once per real
+    round, the way the ring itself runs, with no light cone."""
+
+    def __init__(self, ring, entries, seed, external, round_cap=None):
+        self.external = external
+        self.round_cap = round_cap
+        self.programs = {s: ring.slot_program(s) for s in range(ring.size) if s not in external}
+        self.states = {s: p.init(entries[s].input, entries[s].coins(seed))
+                       for s, p in self.programs.items()}
+        self.live = [s for s, p in self.programs.items() if p.finished(self.states[s]) is None]
+        self.pending = {}
+
+    def step(self, round_no, fed):
+        deliver(fed, self.pending)
+        if self.round_cap is not None and round_no > self.round_cap:
+            self.pending = {}
+            return []
+        sends = step_parties(self.programs, self.states, self.live, round_no, self.pending)
+        self.live = [s for s in self.live if self.programs[s].finished(self.states[s]) is None]
+        self.pending = deliver(sends)
+        return [send for send in sends if send[1] in self.external]
+
+
+def full_ring_phase1(spec3, variant, q, z, seed):
+    """Phase 1 over `emulate_ring`, stepping every slot of the engine ring."""
+    m, pstar, _ = attack_geometry(q, variant)
+    ring = RingNetwork(spec3, m)
+    w = ring.zeros_w()
+    for it in range(1, z + 1):
+        res = emulate_ring(ring, w, rounds_cap=m, seed=derive_seed(seed, "phase1", it))
+        if res.outcomes[pstar] is not RUNNING:
+            break
+    y = res.outcomes[pstar]
+    return (None if y is RUNNING else y, res.halt_rounds[pstar], it, y is RUNNING)
+
+
+def count_slot_steps(monkeypatch):
+    calls = [0]
+    real = RingSlotProgram.step
+
+    def counting(self, state, round_no, inbox):
+        calls[0] += 1
+        return real(self, state, round_no, inbox)
+
+    monkeypatch.setattr(RingSlotProgram, "step", counting)
+    return calls
+
+
+def spew_spec():
+    """A 3-party protocol that chatters every round and never halts."""
+    return ProtocolSpec("spew", tuple(ByteSpewerProgram(3, i) for i in range(3)),
+                        RoundBound("expected", 1), tuple(RawInput(8) for _ in range(3)))
+
+
+class OversizeProgram(PartyProgram):
+    """Two silent steps, then output 0; on step `loud` it sends its
+    predecessor (local id me-1) one message over the engine's byte cap."""
+
+    role_id = "oversize"
+
+    def __init__(self, me, loud):
+        self.me, self.loud = me, loud
+
+    def init(self, input_bytes, coins):
+        return 0
+
+    def step(self, state, round_no, inbox):
+        if state >= 2:
+            return state, {}
+        sends = {(self.me - 1) % 3: bytes(MESSAGE_CAP + 1)} if state + 1 == self.loud else {}
+        return state + 1, sends
+
+    def finished(self, state):
+        return b"\x00" if state >= 2 else None
+
+
+class InboxOrderProgram(PartyProgram):
+    """Hashes its inbox in iteration order, sends the digest both ways, and
+    outputs the digest of its third step: any change in inbox order shows."""
+
+    role_id = "order"
+
+    def __init__(self, me):
+        self.me = me
+
+    def init(self, input_bytes, coins):
+        return (0, coins.read(0, 4))
+
+    def step(self, state, round_no, inbox):
+        k, acc = state
+        if k >= 3:
+            return state, {}
+        h = hashlib.sha256(acc)
+        for src, payload in inbox.items():
+            h.update(bytes([src]) + payload)
+        acc = h.digest()[:4]
+        return (k + 1, acc), {j: acc for j in range(3) if j != self.me}
+
+    def finished(self, state):
+        return state[1] if state[0] >= 3 else None
+
+
+def order_spec():
+    return ProtocolSpec("order", tuple(InboxOrderProgram(i) for i in range(3)),
+                        RoundBound("strict", 3), tuple(RawInput(8) for _ in range(3)))
+
+
+CORRUPTED_SETS = ({0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2})
+STRICT_SELECTORS = ("xor_exchange", "or_exchange", "echo_xor:1", "echo_xor:2",
+                    "const:5", "fair_coin")
+
+
+class TestLightCone:
+    """The lagged simulator against a reference that steps every slot."""
+
+    @staticmethod
+    def both_runs(monkeypatch, spec, adversary, seed):
+        joint = JointInput.sample(spec, seed)
+        lagged = run_with_adversary(spec, adversary, joint, seed, record=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(ring_module, "VirtualRing", FullVirtualRing)
+            full = run_with_adversary(spec, adversary, joint, seed, record=True)
+        return lagged, full
+
+    def test_lag_layers(self):
+        # external {0, 1} on a 12-ring: slots 11 and 2 are observed
+        layers, out_of_order = _lag_layers(12, (0, 1), (2, 11))
+        assert layers == ((2, 11), (3, 10), (4, 9), (5, 8), (6, 7))
+        # slot 10 hears 9 (lag 2) after 11 (lag 0); so do 9, 8 and 7
+        assert out_of_order == ((), (10,), (9,), (8,), (7,))
+        layers, _ = _lag_layers(12, (), (7,))
+        assert layers == ((7,), (6, 8), (5, 9), (4, 10), (3, 11), (0, 2), (1,))
+
+    def test_attack_bridge_matches_full_ring(self, monkeypatch):
+        for spec in [make_spec(sel, 3) for sel in STRICT_SELECTORS] + [order_spec()]:
+            selector = spec.name
+            for seed in range(3):
+                p1 = phase1_strict(spec, derive_seed(31, selector, seed))
+                for corrupted in CORRUPTED_SETS:
+                    adv = AttackAdversary(p1, frozenset(corrupted))
+                    tseed = derive_seed(32, selector, seed, *sorted(corrupted))
+                    lagged, full = self.both_runs(monkeypatch, spec, adv, tseed)
+                    assert lagged.honest_outcomes() == full.honest_outcomes()
+                    assert lagged.transcript == full.transcript, (selector, corrupted)
+
+    def test_expected_attack_bridge_matches_full_ring(self, monkeypatch):
+        spec = make_spec("geom_halt:0.3", 3)
+        for seed in range(4):
+            p1 = phase1_expected(spec, 3, 16, derive_seed(33, seed))
+            assert not p1.aborted
+            for corrupted in CORRUPTED_SETS:
+                adv = AttackAdversary(p1, frozenset(corrupted))
+                lagged, full = self.both_runs(monkeypatch, spec, adv,
+                                              derive_seed(34, seed, *sorted(corrupted)))
+                assert lagged.honest_outcomes() == full.honest_outcomes()
+                assert lagged.halt_rounds == full.halt_rounds
+                assert lagged.transcript == full.transcript, corrupted
+
+    def test_embedding_bridge_matches_full_ring(self, monkeypatch):
+        specs = [make_spec(sel, 3) for sel in STRICT_SELECTORS + ("geom_halt:0.3",)]
+        for spec in specs + [order_spec()]:
+            selector = spec.name
+            for adv in embedding_family(spec, 4):
+                lagged, full = self.both_runs(monkeypatch, spec, adv,
+                                              derive_seed(35, selector, adv.j))
+                assert lagged.honest_outcomes() == full.honest_outcomes()
+                assert lagged.transcript == full.transcript, (selector, adv.j)
+
+    def test_fused_nine_party_bridge_matches_full_ring(self, monkeypatch):
+        for selector in ("or_exchange", "echo_xor:1"):
+            spec = make_spec(selector, 9)
+            for seed in range(2):
+                atk = attack_n_party(spec, 3, (6, 7, 8), derive_seed(36, selector, seed))
+                lagged, full = self.both_runs(monkeypatch, spec, atk.adversary,
+                                              derive_seed(37, selector, seed))
+                assert lagged.honest_outcomes() == full.honest_outcomes()
+                assert lagged.transcript == full.transcript, selector
+
+    def test_phase1_matches_full_ring(self):
+        m = attack_geometry(3, "expected")[0]
+        cases = [(make_spec("geom_halt:%.17g" % tuned_halt_probability(m + 1), 3), z)
+                 for z in (1, 2, 3)]
+        cases += [(make_spec("const:5", 3), 1), (spew_spec(), 2), (order_spec(), 1)]
+        for spec, z in cases:
+            for seed in range(200):
+                p1 = phase1_expected(spec, 3, z, seed)
+                got = (p1.y_star, p1.pstar_halt_round, p1.iterations_used, p1.aborted)
+                assert got == full_ring_phase1(spec, "expected", 3, z, seed), (spec.name, z, seed)
+
+    def test_strict_phase1_matches_full_ring(self):
+        for selector in ("echo_xor:2", "fair_coin"):
+            spec = make_spec(selector, 3)
+            for seed in range(50):
+                p1 = phase1_strict(spec, seed)
+                got = (p1.y_star, p1.pstar_halt_round, p1.iterations_used, p1.aborted)
+                assert got == full_ring_phase1(spec, "strict", spec.q, 1, seed), (selector, seed)
+
+    def test_phase1_steps_only_the_light_cone(self, monkeypatch):
+        # echo_xor:2 on the 12-ring halts at step 4; P* = slot 7 steps 4 times,
+        # the slots 1, 2, 3 hops away 3, 2, 1 times each: 16, not 12 x 4
+        calls = count_slot_steps(monkeypatch)
+        p1 = phase1_strict(make_spec("echo_xor:2", 3), 5)
+        assert (p1.m, p1.pstar, p1.pstar_halt_round) == (4, 7, 4)
+        assert calls[0] == 16
+
+    def test_embedding_run_steps_only_the_light_cone(self, monkeypatch):
+        # the two slots next to the real pair step 4 times each; 10 virtual
+        # slots would take 40 steps in the full ring
+        spec = make_spec("echo_xor:2", 3)
+        adv = NeighborEmbeddingAdversary(spec, 4, 2)
+        calls = count_slot_steps(monkeypatch)
+        run_with_adversary(spec, adv, JointInput.sample(spec, 3), 3)
+        assert calls[0] == 20
+
+    def test_oversize_message_in_pstar_cone_raises(self):
+        # role 2 on slot 8 sits next to P* = slot 7 and oversteps the cap on
+        # its first step, which P* hears on its second
+        spec = ProtocolSpec("oversize", tuple(OversizeProgram(i, 1 if i == 2 else 0)
+                                              for i in range(3)),
+                            RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
+        assert attack_geometry(2, "strict")[1] == 7
+        with pytest.raises(SpecViolation, match="byte cap"):
+            phase1_strict(spec, 1)
+        with pytest.raises(SpecViolation, match="byte cap"):
+            full_ring_phase1(spec, "strict", 2, 1, 1)
+
+    def test_virtual_to_virtual_sends_are_route_checked(self):
+        # with the real pair on slots 3, 4 the role-1 slot 1 steps first in
+        # real round 2 and oversteps the cap toward slot 0: no real party
+        # ever receives that message, and the simulator still refuses it
+        spec = ProtocolSpec("oversize", tuple(OversizeProgram(i, 1 if i == 1 else 0)
+                                              for i in range(3)),
+                            RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
+        ring = RingNetwork(spec, 4)
+        vring = VirtualRing(ring, ring.zeros_w(), 1, {3: 0, 4: 1})
+        assert vring.step(1, ()) == []
+        with pytest.raises(SpecViolation, match="message 1->0 exceeds"):
+            vring.step(2, ())
