@@ -49,9 +49,9 @@ from .netsim import (
     Send,
     _route_check,
     deliver,
-    run_honest,
     step_parties,
 )
+from .netsim import run_honest as run_engine_honest
 
 # Ring slots the real honest parties can occupy, over all corruption choices.
 HONEST_WINDOW = (0, 1, 2, 3)
@@ -182,8 +182,8 @@ def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *
     Every slot is stepped; this is the full-ring reference that the light
     cones `VirtualRing` runs are checked against.
     """
-    return run_honest(ring.engine_spec(overrides), w, seed, max_rounds=rounds_cap,
-                      record=record)
+    return run_engine_honest(ring.engine_spec(overrides), w, seed, max_rounds=rounds_cap,
+                             record=record)
 
 
 def node_view(result: ExecutionResult, node: int) -> bytes:
@@ -207,7 +207,6 @@ def _best_far_slot(size: int) -> tuple[int, int]:
     return best_slot, best_d
 
 
-@lru_cache(maxsize=128)
 def attack_ring_size(q: int, variant: str) -> int:
     """Number of copies m so the far slot is outside honest influence range.
 
@@ -257,22 +256,23 @@ class AttackPhase1Result:
     ring: RingNetwork = field(repr=False)
 
 
-def _pstar_run(ring: RingNetwork, w: JointInput, seed: int, pstar: int,
-               m: int) -> tuple[object, Optional[int]]:
-    """P*'s outcome and halt round in the honest ring run cut off after m
-    rounds, computed from P*'s light cone alone.
+def run_honest(ring: RingNetwork, w: JointInput, seed: int, rounds_cap: int,
+               slot: int) -> tuple[object, Optional[int]]:
+    """One slot's outcome and halt round in the honest ring run cut off after
+    rounds_cap rounds, computed from that slot's light cone alone.
 
-    Matches `emulate_ring(ring, w, m, seed)` at P*: steps 1..m+1 run, the last
-    being the flush step whose sends are dropped; a halt at step r is recorded
-    as min(r, m), a halt at init as 0, and no halt as (RUNNING, None).
+    Matches `emulate_ring(ring, w, rounds_cap, seed)` at the slot: steps
+    1..rounds_cap+1 run, the last being the flush step whose sends are
+    dropped; a halt at step r is recorded as min(r, rounds_cap), a halt at
+    init as 0, and no halt as (RUNNING, None).
     """
-    vring = VirtualRing(ring, w, seed, {}, observed=(pstar,))
-    for r in range(m + 2):
+    vring = VirtualRing(ring, w, seed, {}, observed=(slot,))
+    for r in range(rounds_cap + 2):
         if r:
             vring.step(r, ())
-        y = vring.outcome(pstar)
+        y = vring.outcome(slot)
         if y is not None:
-            return y, min(r, m)
+            return y, min(r, rounds_cap)
     return RUNNING, None
 
 
@@ -284,7 +284,7 @@ def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> Att
     w = ring.zeros_w()
     for it in range(1, z + 1):
         exec_seed = derive_seed(seed, "phase1", it)
-        y, halt_round = _pstar_run(ring, w, exec_seed, pstar, m)
+        y, halt_round = run_honest(ring, w, exec_seed, m, pstar)
         if y is not RUNNING:
             break
     return AttackPhase1Result(
@@ -373,7 +373,9 @@ class VirtualRing:
     simulated senders in ascending slot order, then the fed real sends. Steps
     a slot would take after r - d cannot reach an observed slot by round r,
     and are not run. A slot's program starts on its first step. Every
-    computed send is route-checked.
+    computed send is route-checked; a send in a step that is not computed is
+    never checked, so a protocol that breaks the route or size rules only
+    outside the light cone runs on where the full ring would raise.
     """
 
     def __init__(self, ring: RingNetwork, w: JointInput, seed: int,

@@ -665,6 +665,20 @@ class TestLightCone:
         with pytest.raises(SpecViolation, match="byte cap"):
             full_ring_phase1(spec, "strict", 2, 1, 1)
 
+    def test_oversize_message_outside_pstar_cone_is_not_checked(self):
+        # role 0 oversteps the cap on its second step; P* = slot 7 halts on
+        # its own second step, before slot 6 (one hop away) takes its second,
+        # so phase 1 never computes the bad send. The full ring steps every
+        # slot to the flush step and refuses it: only computed steps are
+        # checked against the engine's rules.
+        spec = ProtocolSpec("oversize", tuple(OversizeProgram(i, 2 if i == 0 else 0)
+                                              for i in range(3)),
+                            RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
+        p1 = phase1_strict(spec, 1)
+        assert (p1.pstar, p1.y_star, p1.pstar_halt_round) == (7, b"\x00", 2)
+        with pytest.raises(SpecViolation, match="byte cap"):
+            full_ring_phase1(spec, "strict", 2, 1, 1)
+
     def test_virtual_to_virtual_sends_are_route_checked(self):
         # with the real pair on slots 3, 4 the role-1 slot 1 steps first in
         # real round 2 and oversteps the cap toward slot 0: no real party
