@@ -20,18 +20,11 @@ import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .coinflip import bias_attack, measure_bias, verify_no_nontrivial_bias
-from .compiler import (
-    always_abort_adversary,
-    coin_abort_adversary,
-    compare_real_ideal,
-    enumerate_decisions,
-    never_abort_adversary,
-    wrap_dominated,
-)
+from .compiler import (ADVERSARIES, compare_real_ideal, enumerate_decisions, make_adversary,
+                       wrap_dominated)
 from .core import (
     BOT,
     ConfigError,
@@ -40,20 +33,17 @@ from .core import (
     derive_seed,
     is_int,
     outcome_repr,
+    selector_help,
     validate_spec,
 )
 from .dominance import (
+    BUILTINS,
     PROFILE_BUDGET,
     FunctionTable,
-    and_table,
     classify,
-    constant_table,
     dominance_profile,
-    or_table,
-    pair_and_or_table,
-    threshold_table,
+    make_table,
     verify_weak_implies_strong,
-    xor_table,
 )
 from .netsim import estimate_consistency, run_with_adversary
 from .reports import make_report, write_csv, write_report
@@ -92,37 +82,6 @@ def _seed_fallback(value: Optional[int]) -> int:
     return 1
 
 
-# builtin table name -> (parameter count, builder); the last parameter is the
-# party count n, and every builtin but `pairs` (n=4) has 2^n cells
-BUILTINS: dict[str, tuple[int, Callable[..., FunctionTable]]] = {
-    "or": (1, or_table),
-    "and": (1, and_table),
-    "xor": (1, xor_table),
-    "thresh": (2, lambda k, n: threshold_table(n, k)),
-    "const": (2, lambda c, n: constant_table(n, c)),
-    "pairs": (0, pair_and_or_table),
-}
-
-
-def _builtin_table(selector: str, budget: int) -> FunctionTable:
-    """Build a builtin table, refusing one over `budget` cells before building it."""
-    name, *params = selector.split(":")
-    if name not in BUILTINS:
-        raise ConfigError(f"unknown builtin table {name!r} "
-                          "(have or:N, and:N, xor:N, thresh:K:N, const:C:N, pairs)")
-    arity, build = BUILTINS[name]
-    try:
-        args = [int(x) for x in params[:arity]]
-        if len(args) < arity:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"malformed builtin table selector {selector!r}")
-    cells = 2 ** args[-1] if args else 16
-    if cells > budget:
-        raise ConfigError(f"table has {cells} entries, over the budget {budget}")
-    return build(*args)
-
-
 def _load_table(cfg: dict) -> FunctionTable:
     """Resolve the table, refusing one over the cell budget; normalizes cfg
     so the embedded config is self-contained."""
@@ -137,7 +96,7 @@ def _load_table(cfg: dict) -> FunctionTable:
             raise ConfigError(f"cannot read table file: {e}")
         table = FunctionTable.from_json(raw)
     elif cfg.get("builtin"):
-        table = _builtin_table(cfg["builtin"], budget)
+        table = make_table(cfg["builtin"], budget)
     else:
         raise ConfigError("need --table FILE or --builtin SELECTOR")
     if table.size > budget:
@@ -190,7 +149,7 @@ def _pmap(fn, tasks: list, jobs: int) -> list:
 
 def _require_protocol(cfg: dict) -> str:
     if not cfg.get("protocol"):
-        raise ConfigError("need --protocol (a zoo selector like echo_xor:2)")
+        raise ConfigError(f"need --protocol, one of: {selector_help(ZOO)}")
     return cfg["protocol"]
 
 
@@ -347,21 +306,6 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
 
 # -------------------------------------------------------------- compile
 
-def _parse_hybrid_adv(selector: str, corrupt: list[int], inputs: list[int]):
-    forward = {i: inputs[i] for i in corrupt}
-    if selector == "never":
-        return never_abort_adversary(corrupt, forward)
-    if selector == "abort":
-        return always_abort_adversary(corrupt)
-    if selector.startswith("coin:"):
-        try:
-            p = Fraction(selector.split(":", 1)[1])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad abort probability in {selector!r}")
-        return coin_abort_adversary(corrupt, p, forward)
-    raise ConfigError(f"unknown adversary {selector!r} (have never, abort, coin:P)")
-
-
 def cmd_compile(cfg: dict, jobs: int = 1):
     table = _load_table(cfg)
     n, t = table.n, cfg["t"]
@@ -380,7 +324,7 @@ def cmd_compile(cfg: dict, jobs: int = 1):
         raise ConfigError(f"corrupted ids must lie in 0..{n - 1}, got {corrupt}")
     if len(corrupt) > wrapped.t2:
         raise ConfigError(f"coalition of {len(corrupt)} exceeds t2={wrapped.t2}")
-    adv = _parse_hybrid_adv(cfg["adv"], corrupt, inputs)
+    adv = make_adversary(cfg["adv"], corrupt, inputs)
     if any(d.abort for _, d in adv.branches) and len(corrupt) <= wrapped.t1:
         raise ConfigError(f"--adv {cfg['adv']} can abort, which needs more than "
                           f"t1={wrapped.t1} corrupted parties; got {len(corrupt)}")
@@ -468,7 +412,7 @@ def cmd_validate(cfg: dict, jobs: int = 1):
 # argparse type, choices and help of each config key's flag, written once;
 # `build_parser` adds key `delta_trials` as `--delta-trials`.
 FLAGS: dict[str, dict[str, Any]] = {
-    "protocol": {"help": f"zoo selector, one of: {', '.join(sorted(ZOO))}"},
+    "protocol": {"help": f"zoo protocol, one of: {selector_help(ZOO)}"},
     "n": {"type": int},
     "t": {"type": int, "help": "corruption threshold (dominance: also classify at it)"},
     "corrupt": {"type": _parse_int_list, "help": "corrupted ids, e.g. 7,8"},
@@ -479,13 +423,13 @@ FLAGS: dict[str, dict[str, Any]] = {
     "delta_trials": {"type": int},
     "seed": {"type": int},
     "table": {"help": "JSON table file"},
-    "builtin": {"help": "builtin table selector, e.g. or:3, thresh:2:4, pairs"},
+    "builtin": {"help": f"builtin table, one of: {selector_help(BUILTINS)}"},
     "collapse_m": {"type": int, "help": "also check weak=>strong at this m"},
     "budget": {"type": int},
     "mode": {"choices": ["honest", "attack", "verify"]},
     "kappa": {"type": int, "help": "offline attempts of the bias search; "
                                    "it aborts with probability <= 2^-kappa"},
-    "adv": {"help": "never | abort | coin:P"},
+    "adv": {"help": f"ideal adversary, one of: {selector_help(ADVERSARIES)}"},
     "inputs": {"type": _parse_int_list},
     "mc_trials": {"type": int},
     "m": {"type": int},

@@ -24,14 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, derive_seed
-from .netsim import AdversaryStrategy, ConsistencyReport, estimate_consistency, run_honest, run_with_adversary
-from .ring import (
-    AttackPhase1Result,
-    attack_n_party,
-    attack_ring_size,
-    embedding_family,
-    phase1_strict,
-)
+from .netsim import AdversaryStrategy, estimate_consistency, run_honest, run_with_adversary
+from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_strict
 from .stats import proportion_sigma, statistical_distance, wilson_interval
 
 UNIFORM_BIT = {"0": 0.5, "1": 0.5, "other": 0.0}
@@ -152,7 +146,6 @@ class BiasAttackResult:
     y_star: Optional[bytes]
     corrupted: tuple[int, ...]
     adversary: Optional[AdversaryStrategy] = field(repr=False, default=None)
-    phase1: Optional[AttackPhase1Result] = field(repr=False, default=None)
 
 
 def _bias_coalition(n: int, corrupted: tuple[int, ...],
@@ -189,10 +182,9 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
         if y != exclude:
             return BiasAttackResult(aborted=False, attempts=attempt, kappa=kappa,
                                     excluded=exclude, y_star=y, corrupted=corrupt,
-                                    adversary=atk.adversary, phase1=atk.phase1)
+                                    adversary=atk.adversary)
     return BiasAttackResult(aborted=True, attempts=kappa, kappa=kappa, excluded=exclude,
-                            y_star=None, corrupted=corrupt, adversary=None,
-                            phase1=atk.phase1)
+                            y_star=None, corrupted=corrupt, adversary=None)
 
 
 @dataclass
@@ -218,7 +210,6 @@ class BiasVerdict:
     bound: float
     holds: Optional[bool]
     inconclusive: bool
-    consistency: ConsistencyReport = field(repr=False, default=None)
 
     def to_json(self) -> dict:
         return {
@@ -319,5 +310,4 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
         sigma3=sigma3, bound=bound,
         holds=None if forced is None else forced.distance >= bound,
         inconclusive=forced is None or bound <= 0,
-        consistency=consistency,
     )

@@ -33,7 +33,8 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Any, Optional, Sequence
 
-from .core import BOT, CoinStream, ConfigError, SpecViolation, derive_seed, is_int, outcome_repr
+from .core import (BOT, Catalog, CoinStream, ConfigError, SpecViolation, derive_seed, is_int,
+                   outcome_repr, parse_selector)
 from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated
 
 
@@ -142,6 +143,23 @@ def coin_abort_adversary(corrupted: Sequence[int], p_abort: Fraction,
         (p_abort, IdealDecision(abort=True)),
         (Fraction(1) - p_abort, IdealDecision.substitute(inputs)),
     ))
+
+
+# each builder takes the coalition and the inputs it forwards when it does not abort
+ADVERSARIES: Catalog = {
+    "never": ((), never_abort_adversary),
+    "abort": ((), lambda corrupted, inputs: always_abort_adversary(corrupted)),
+    "coin": ((("p", Fraction),),
+             lambda corrupted, inputs, p: coin_abort_adversary(corrupted, p, inputs)),
+}
+
+
+def make_adversary(selector: str, corrupted: Sequence[int],
+                   inputs: Sequence[int]) -> HybridAdversary:
+    """An ideal adversary from a selector like 'coin:1/2'; the coalition
+    forwards its own entries of `inputs` whenever it does not abort."""
+    build, _ = parse_selector(selector, ADVERSARIES, "adversary")
+    return build(corrupted, {i: inputs[i] for i in corrupted})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -31,6 +31,48 @@ class ConfigError(Exception):
 def is_int(value: Any) -> bool:
     """An int that is not a bool: what a JSON integer loads as."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A selector is "name:p1:p2...", one name of a catalog and each of its
+# parameters in order. A catalog maps a name to its parameters, each a (name,
+# type) pair whose type converts the text, and to its builder, which takes the
+# caller's leading arguments and then the parameters by name.
+Catalog = dict[str, tuple[tuple[tuple[str, Callable[[str], Any]], ...], Callable[..., Any]]]
+
+
+def selector_help(catalog: Catalog) -> str:
+    """Every selector form of a catalog, e.g. 'const:<c>, fair_coin'."""
+    return ", ".join(":".join([name, *(f"<{p}>" for p, _ in params)])
+                     for name, (params, _) in catalog.items())
+
+
+def parse_selector(selector: str, catalog: Catalog,
+                   what: str) -> tuple[Callable[..., Any], dict[str, Any]]:
+    """A selector's entry builder bound to its parameters, and the converted
+    parameters. The parameter count must match exactly. A bad selector, or a
+    builder refusing its parameters, raises ConfigError naming every form."""
+
+    def bad(reason) -> ConfigError:
+        return ConfigError(f"bad {what} {selector!r}: {reason}; have {selector_help(catalog)}")
+
+    name, *raw = selector.split(":")
+    if name not in catalog:
+        raise bad(f"unknown name {name!r}")
+    params, build = catalog[name]
+    if len(raw) != len(params):
+        raise bad(f"{name} takes {len(params)} parameter(s), got {len(raw)}")
+    try:
+        args = {p: kind(x) for (p, kind), x in zip(params, raw)}
+    except (ValueError, ArithmeticError) as e:
+        raise bad(e) from None
+
+    def built(*lead):
+        try:
+            return build(*lead, **args)
+        except (ValueError, ConfigError) as e:
+            raise bad(e) from None
+
+    return built, args
 
 
 class _Sentinel:

@@ -30,7 +30,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, is_int
+from .core import Catalog, ConfigError, is_int, parse_selector
 
 PROFILE_BUDGET = 2 ** 24
 
@@ -484,3 +484,23 @@ def pair_and_or_table() -> FunctionTable:
     return table_from_fn(4, [2] * 4,
                          lambda a, b, c, d: int((a and b) or (c and d)),
                          name="pairs")
+
+
+# every builtin is boolean; all but pairs (n = 4) take the party count n
+BUILTINS: Catalog = {
+    "or": ((("n", int),), or_table),
+    "and": ((("n", int),), and_table),
+    "xor": ((("n", int),), xor_table),
+    "thresh": ((("k", int), ("n", int)), threshold_table),
+    "const": ((("c", int), ("n", int)), constant_table),
+    "pairs": ((), pair_and_or_table),
+}
+
+
+def make_table(selector: str, budget: int) -> FunctionTable:
+    """Build a builtin table, refusing one over `budget` cells before building it."""
+    build, args = parse_selector(selector, BUILTINS, "builtin table")
+    cells = 2 ** args.get("n", 4)
+    if cells > budget:
+        raise ConfigError(f"table has {cells} entries, over the budget {budget}")
+    return build()

@@ -170,7 +170,7 @@ def _route_check(n: int, src: int, dst: int, payload: bytes) -> None:
 
 def _execute(
     spec: ProtocolSpec,
-    joint: JointInput | dict[int, JointEntry],
+    joint: JointInput,
     seed: int,
     *,
     adversary: Optional[AdversaryStrategy] = None,
@@ -185,13 +185,8 @@ def _execute(
     if max_rounds is None:
         max_rounds = 4 * spec.q if spec.round_bound.strict else 64 * spec.q
 
-    if isinstance(joint, JointInput):
-        entries = {i: joint[i] for i in range(n)}
-    else:
-        entries = dict(joint)
-    for i in range(n):
-        if i not in corrupted and i not in entries:
-            raise ValueError(f"missing JointEntry for honest party {i}")
+    if len(joint) != n:
+        raise ValueError(f"expected {n} JointEntry values, got {len(joint)}")
 
     states: dict[int, Any] = {}
     outcomes: list[Any] = [None] * n
@@ -200,8 +195,8 @@ def _execute(
     for i in range(n):
         if i in corrupted:
             continue
-        prog = spec.programs[i]
-        states[i] = prog.init(entries[i].input, entries[i].coins(seed))
+        prog, entry = spec.programs[i], joint[i]
+        states[i] = prog.init(entry.input, entry.coins(seed))
         fin = prog.finished(states[i])
         if fin is not None:
             outcomes[i] = fin
@@ -210,7 +205,7 @@ def _execute(
     adv_state = None
     pre_announced = None
     if adversary is not None:
-        ctx = AdversaryContext({i: entries[i] for i in corrupted if i in entries}, seed)
+        ctx = AdversaryContext({i: joint[i] for i in corrupted}, seed)
         adv_state = adversary.init(ctx)
         pre_announced = adversary.pre_announce(adv_state)
 
@@ -308,7 +303,7 @@ def run_honest(spec: ProtocolSpec, joint: JointInput, seed: int, *,
 
 
 def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
-                       joint: JointInput | dict[int, JointEntry], seed: int, *,
+                       joint: JointInput, seed: int, *,
                        record: bool = False) -> ExecutionResult:
     """Run with the adversary substituted for its corrupted parties.
 

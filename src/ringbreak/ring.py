@@ -162,12 +162,23 @@ class RingNetwork:
         ))
 
     def sample_w(self, seed: int, label_prefix: bytes = b"ring") -> JointInput:
-        src = CoinStream(seed, b"ring-input-sample")
-        return JointInput(tuple(
-            JointEntry(self.spec3.domains[s % 3].sample(src, offset=128 * s),
-                       label_prefix + b"/%d" % s)
-            for s in range(self.size)
-        ))
+        w = SampledRingInput(self, seed, label_prefix)
+        return JointInput(tuple(w[s] for s in range(self.size)))
+
+
+class SampledRingInput:
+    """`RingNetwork.sample_w` drawn slot by slot: w[s] reads its input at
+    offset 128*s of one coin stream, so a slot that is never read is never
+    drawn, and every slot that is gets the same bytes."""
+
+    def __init__(self, ring: RingNetwork, seed: int, label_prefix: bytes):
+        self.domains = ring.spec3.domains
+        self.src = CoinStream(seed, b"ring-input-sample")
+        self.label_prefix = label_prefix
+
+    def __getitem__(self, s: int) -> JointEntry:
+        return JointEntry(self.domains[s % 3].sample(self.src, offset=128 * s),
+                          self.label_prefix + b"/%d" % s)
 
 
 def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *,
@@ -198,13 +209,10 @@ def node_view(result: ExecutionResult, node: int) -> bytes:
 
 
 def _best_far_slot(size: int) -> tuple[int, int]:
-    """Slot maximizing the minimal ring distance to the honest window."""
-    best_slot, best_d = 0, -1
-    for s in range(size):
-        d = min(ring_distance(size, s, h) for h in HONEST_WINDOW)
-        if d > best_d:
-            best_slot, best_d = s, d
-    return best_slot, best_d
+    """The lowest slot maximizing the minimal ring distance to the honest
+    window 0..3, and that distance: the middle of the arc from slot 3 round
+    to slot 0, which is size - 3 edges long."""
+    return (size + 3) // 2, (size - 3) // 2
 
 
 def attack_ring_size(q: int, variant: str) -> int:
@@ -378,7 +386,7 @@ class VirtualRing:
     outside the light cone runs on where the full ring would raise.
     """
 
-    def __init__(self, ring: RingNetwork, w: JointInput, seed: int,
+    def __init__(self, ring: RingNetwork, w: JointInput | SampledRingInput, seed: int,
                  external: dict[int, int], round_cap: Optional[int] = None,
                  observed: Optional[Sequence[int]] = None):
         size = ring.size
@@ -400,8 +408,9 @@ class VirtualRing:
     def _start(self, lag: int) -> None:
         w, seed = self.w, self.seed
         for s in self.layers[lag]:
+            entry = w[s]
             prog = self.programs[s] = self.ring.slot_program(s)
-            state = self.states[s] = prog.init(w[s].input, w[s].coins(seed))
+            state = self.states[s] = prog.init(entry.input, entry.coins(seed))
             if prog.finished(state) is None:
                 self.live[lag].append(s)
 
@@ -465,7 +474,7 @@ class RingBridge(AdversaryStrategy):
                     raise ConfigError("honest window mapping broke role alignment")
                 self.in_bridge[(h, role)] = v
 
-    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput, int]:
+    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput | SampledRingInput, int]:
         """Ring input w and execution seed of the simulated slots."""
         raise NotImplementedError
 
@@ -501,8 +510,8 @@ class NeighborEmbeddingAdversary(RingBridge):
     def describe(self) -> str:
         return f"embed[j={self.j},m={self.ring.m}]"
 
-    def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput, int]:
-        w = self.ring.sample_w(derive_seed(ctx.seed, "embed-w", self.j), label_prefix=b"emb")
+    def ring_input(self, ctx: AdversaryContext) -> tuple[SampledRingInput, int]:
+        w = SampledRingInput(self.ring, derive_seed(ctx.seed, "embed-w", self.j), b"emb")
         return w, derive_seed(ctx.seed, "embed-run", self.j)
 
 

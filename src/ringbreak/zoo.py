@@ -9,16 +9,17 @@ outputs are single bytes. All entries satisfy the PartyProgram contract
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
     BitInput,
-    ConfigError,
+    Catalog,
+    InputDomain,
     PartyProgram,
     ProtocolSpec,
     RawInput,
     RoundBound,
+    parse_selector,
 )
 
 INPUT_BYTES = 8
@@ -36,7 +37,7 @@ class ConstProgram(PartyProgram):
     def __init__(self, n: int, me: int, c: int):
         self.n = n
         self.me = me
-        self.c = c & 0xFF
+        self.c = c
 
     def init(self, input_bytes, coins):
         return 0  # rounds seen
@@ -224,16 +225,6 @@ class CoinFlashProgram(PartyProgram):
         return bytes([state[1]]) if state[0] == "done" else None
 
 
-@dataclass(frozen=True)
-class ZooEntry:
-    """Catalog row: how to build a ProtocolSpec for one named protocol."""
-
-    name: str
-    summary: str
-    arity: str  # parameter hint for the CLI
-    build: Callable[..., ProtocolSpec]
-
-
 def tuned_halt_probability(calls: int) -> float:
     """p with Pr[halted after `calls` step calls] = 1/2 for the geometric halter.
 
@@ -244,102 +235,66 @@ def tuned_halt_probability(calls: int) -> float:
     return 1.0 - 2.0 ** (-1.0 / calls)
 
 
+def _uniform(name: str, n: int, program: Callable[[int], PartyProgram],
+             bound: RoundBound, domain: InputDomain) -> ProtocolSpec:
+    """n parties, party i running program(i), all with one input domain."""
+    return ProtocolSpec(name=name, programs=tuple(program(i) for i in range(n)),
+                        round_bound=bound, domains=(domain,) * n)
+
+
 def make_const(n: int, c: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name=f"const:{c}",
-        programs=tuple(ConstProgram(n, i, c) for i in range(n)),
-        round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
-    )
+    if not 0 <= c <= 255:
+        raise ValueError(f"constant {c} is not a byte value 0..255")
+    return _uniform(f"const:{c}", n, lambda i: ConstProgram(n, i, c),
+                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
 
 
 def make_xor_exchange(n: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name="xor_exchange",
-        programs=tuple(ExchangeProgram(n, i, "xor") for i in range(n)),
-        round_bound=RoundBound("strict", 1),
-        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform("xor_exchange", n, lambda i: ExchangeProgram(n, i, "xor"),
+                    RoundBound("strict", 1), BitInput(INPUT_BYTES))
 
 
 def make_or_exchange(n: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name="or_exchange",
-        programs=tuple(ExchangeProgram(n, i, "or") for i in range(n)),
-        round_bound=RoundBound("strict", 1),
-        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform("or_exchange", n, lambda i: ExchangeProgram(n, i, "or"),
+                    RoundBound("strict", 1), BitInput(INPUT_BYTES))
 
 
 def make_echo_xor(n: int, echoes: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name=f"echo_xor:{echoes}",
-        programs=tuple(EchoXorProgram(n, i, echoes) for i in range(n)),
-        round_bound=RoundBound("strict", echoes + 1),
-        domains=tuple(BitInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform(f"echo_xor:{echoes}", n, lambda i: EchoXorProgram(n, i, echoes),
+                    RoundBound("strict", echoes + 1), BitInput(INPUT_BYTES))
 
 
 def make_fair_coin(n: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name="fair_coin",
-        programs=tuple(FairCoinProgram(n, i, "xor") for i in range(n)),
-        round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform("fair_coin", n, lambda i: FairCoinProgram(n, i, "xor"),
+                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
 
 
 def make_geom_halt(n: int, p: float) -> ProtocolSpec:
     if not 0.0 < p <= 1.0:
         raise ValueError("halt probability must be in (0, 1]")
-    expected_q = max(1, math.ceil(1.0 / p))
-    return ProtocolSpec(
-        name=f"geom_halt:{p:g}",
-        programs=tuple(GeomHaltProgram(n, i, p) for i in range(n)),
-        round_bound=RoundBound("expected", expected_q),
-        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform(f"geom_halt:{p:g}", n, lambda i: GeomHaltProgram(n, i, p),
+                    RoundBound("expected", max(1, math.ceil(1.0 / p))), RawInput(INPUT_BYTES))
 
 
 def make_coin_flash(n: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        name="coin_flash",
-        programs=tuple(CoinFlashProgram(n, i) for i in range(n)),
-        round_bound=RoundBound("strict", 1),
-        domains=tuple(RawInput(INPUT_BYTES) for _ in range(n)),
-    )
+    return _uniform("coin_flash", n, lambda i: CoinFlashProgram(n, i),
+                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
 
 
-ZOO: dict[str, ZooEntry] = {
-    "const": ZooEntry("const", "everyone outputs the constant c", "const:<c>", make_const),
-    "xor_exchange": ZooEntry("xor_exchange", "1-round pairwise bit exchange, output XOR", "xor_exchange", make_xor_exchange),
-    "or_exchange": ZooEntry("or_exchange", "1-round pairwise bit exchange, output OR", "or_exchange", make_or_exchange),
-    "echo_xor": ZooEntry("echo_xor", "bit exchange plus e echo-and-resolve rounds", "echo_xor:<e>", make_echo_xor),
-    "fair_coin": ZooEntry("fair_coin", "fresh coin bit per party, output XOR", "fair_coin", make_fair_coin),
-    "geom_halt": ZooEntry("geom_halt", "halts each round with probability p", "geom_halt:<p>", make_geom_halt),
+# const: everyone outputs the byte c; xor_exchange / or_exchange: one pairwise
+# bit exchange, output the XOR / OR; echo_xor: the exchange plus `echoes`
+# echo-and-resolve rounds; fair_coin: a fresh coin bit per party, output the
+# XOR; geom_halt: halt each round with probability p
+ZOO: Catalog = {
+    "const": ((("c", int),), make_const),
+    "xor_exchange": ((), make_xor_exchange),
+    "or_exchange": ((), make_or_exchange),
+    "echo_xor": ((("echoes", int),), make_echo_xor),
+    "fair_coin": ((), make_fair_coin),
+    "geom_halt": ((("p", float),), make_geom_halt),
 }
 
 
 def make_spec(selector: str, n: int) -> ProtocolSpec:
-    """Build a zoo protocol from a CLI-style selector like 'echo_xor:2'."""
-    name, _, arg = selector.partition(":")
-    if name not in ZOO:
-        raise ConfigError(f"unknown protocol {name!r}; known: {', '.join(sorted(ZOO))}")
-    try:
-        if name == "const":
-            if arg == "":
-                raise ValueError("const needs a value, e.g. const:0")
-            return make_const(n, int(arg))
-        if name == "echo_xor":
-            if arg == "":
-                raise ValueError("echo_xor needs an echo count, e.g. echo_xor:2")
-            return make_echo_xor(n, int(arg))
-        if name == "geom_halt":
-            if arg == "":
-                raise ValueError("geom_halt needs a probability, e.g. geom_halt:0.25")
-            return make_geom_halt(n, float(arg))
-        if arg:
-            raise ValueError(f"protocol {name} takes no parameter")
-        return ZOO[name].build(n)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad protocol selector {selector!r}: {e}") from e
+    """Build a zoo protocol at n parties from a selector like 'echo_xor:2'."""
+    return parse_selector(selector, ZOO, "protocol")[0](n)

@@ -231,6 +231,10 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
     ["attack", "--protocol", "geom_halt:0.5", "--t", "1", "--variant", "expected",
      "--q-expected", "-3", "--trials", "3"],
     ["dominance", "--builtin", "or:3", "--t", "5"],
+    ["dominance", "--builtin", "or:3:7"],
+    ["dominance", "--builtin", "pairs:9"],
+    ["validate", "--protocol", "xor_exchange:"],
+    ["attack", "--protocol", "const:300", "--t", "1"],
 ], ids=["consistency-few-trials", "attack-few-delta-trials", "attack-two-parties",
         "compile-negative-mc-trials", "compile-corrupt-out-of-range",
         "consistency-no-copies", "coinflip-strict-attack-on-expected-rounds",
@@ -238,13 +242,14 @@ def test_help_lists_one_flag_per_config_key(kind, capsys):
         "validate-negative-trials", "attack-repeated-corrupt", "coinflip-repeated-corrupt",
         "compile-repeated-corrupt", "compile-abort-by-small-coalition",
         "compile-coin-abort-by-small-coalition", "attack-negative-q-expected",
-        "dominance-t-not-below-n"])
+        "dominance-t-not-below-n", "builtin-extra-parameter", "builtin-pairs-parameter",
+        "protocol-empty-parameter", "protocol-const-not-a-byte"])
 def test_bad_input_is_a_usage_error(argv, capsys):
     seeded = "seed" in cli.EXPERIMENTS[argv[0]][2]
     assert main([*argv, *(["--seed", "1"] if seeded else [])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

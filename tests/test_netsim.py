@@ -303,6 +303,6 @@ class TestFingerprint:
     def test_missing_honest_entry_rejected(self):
         spec = make_xor_exchange(3)
         adv = PassiveAdversary(spec, frozenset({2}))
-        joint = {0: JointEntry(b"\x00" * 8, b"p/0")}  # party 1 missing
+        joint = JointInput((JointEntry(b"\x00" * 8, b"p/0"),))  # parties 1 and 2 missing
         with pytest.raises(ValueError):
             run_with_adversary(spec, adv, joint, 1)

@@ -25,6 +25,7 @@ from ringbreak.ring import (
     NeighborEmbeddingAdversary,
     RingNetwork,
     RingSlotProgram,
+    SampledRingInput,
     VirtualRing,
     _best_far_slot,
     _bundle,
@@ -105,6 +106,18 @@ class TestGeometry:
         assert _best_far_slot(12) == (7, 4)
         # size 18: slot 10 is 7 hops from slot 3 and 8 from slot 0
         assert _best_far_slot(18) == (10, 7)
+
+    def test_best_far_slot_matches_the_scan(self):
+        def scan(size):
+            best_slot, best_d = 0, -1
+            for s in range(size):
+                d = min(ring_distance(size, s, h) for h in HONEST_WINDOW)
+                if d > best_d:
+                    best_slot, best_d = s, d
+            return best_slot, best_d
+
+        for m in range(2, 300):
+            assert _best_far_slot(3 * m) == scan(3 * m), m
 
     def test_attack_ring_size_clears_budget(self):
         for q in range(1, 12):
@@ -216,6 +229,30 @@ class TestHonestSlotMap:
 
 
 class TestEmbedding:
+    def test_sampled_ring_input_draws_the_sample_w_bytes(self):
+        ring = RingNetwork(make_echo_xor(3, 2), 5)
+        w = SampledRingInput(ring, 31, b"emb")
+        assert [w[s] for s in reversed(range(ring.size))] == \
+            list(reversed(ring.sample_w(31, b"emb").entries))
+
+    def test_probe_draws_only_the_slots_it_starts(self, monkeypatch):
+        spec = make_xor_exchange(3)
+        adv = embedding_family(spec, 4)[0]
+        drawn = []
+        real = SampledRingInput.__getitem__
+        monkeypatch.setattr(SampledRingInput, "__getitem__",
+                            lambda self, s: drawn.append(s) or real(self, s))
+        started = []
+        real_start = VirtualRing._start
+
+        def start(self, lag):
+            started.extend(self.layers[lag])
+            real_start(self, lag)
+
+        monkeypatch.setattr(VirtualRing, "_start", start)
+        run_with_adversary(spec, adv, JointInput.sample(spec, 3), 3)
+        assert drawn == started and len(set(drawn)) == len(drawn) < adv.ring.size - 2
+
     def test_view_coupling_with_true_ring(self):
         """The honest pair plus the embedding adversary reproduce, byte for
         byte, the local views of two adjacent slots of a genuine ring run."""
@@ -228,10 +265,8 @@ class TestEmbedding:
 
         e_a, e_b = ring.slot_of(0, j), ring.slot_of(1, j)
         adv = FixedRingEmbedding(spec, m, j, w, seed)
-        joint = {
-            0: JointEntry(w[e_a].input, w[e_a].coin_label),
-            1: JointEntry(w[e_b].input, w[e_b].coin_label),
-        }
+        # party 2 is corrupted: the adversary never reads its entry
+        joint = JointInput((w[e_a], w[e_b], w[e_b + 1]))
         res = run_with_adversary(spec, adv, joint, seed, record=True)
         assert res.outcomes[0] == full.outcomes[e_a]
         assert res.outcomes[1] == full.outcomes[e_b]
@@ -284,9 +319,8 @@ class TestAttackThreeParty:
         p1 = phase1_strict(spec, 42)
         for corrupted in ({0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}):
             adv = AttackAdversary(p1, frozenset(corrupted))
-            joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i)
-                     for i in range(3) if i not in corrupted}
-            res = run_with_adversary(spec, adv, joint, derive_seed(1, *sorted(corrupted)))
+            res = run_with_adversary(spec, adv, JointInput.zeros(spec),
+                                     derive_seed(1, *sorted(corrupted)))
             assert res.pre_announced == p1.y_star, corrupted
             for o in res.honest_outcomes():
                 assert o == p1.y_star, corrupted
@@ -303,8 +337,7 @@ class TestAttackThreeParty:
         assert not p1.aborted
         assert p1.pstar_halt_round <= p1.m
         adv = AttackAdversary(p1, frozenset({2}))
-        joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i) for i in (0, 1)}
-        res = run_with_adversary(spec, adv, joint, 14)
+        res = run_with_adversary(spec, adv, JointInput.zeros(spec), 14)
         assert res.honest_outcomes() == [b"\x00", b"\x00"]
         # the simulated far slot never ran past the cap that phase 1 certified
         assert adv.virtual_round_cap is not None
@@ -316,8 +349,7 @@ class TestAttackThreeParty:
         p1 = phase1_strict(spec, 9)
         offline = emulate_ring(p1.ring, p1.w, rounds_cap=p1.m, seed=p1.seed, record=True)
         adv = AttackAdversary(p1, frozenset({2}))
-        joint = {i: JointEntry(p1.w[i].input, p1.w[i].coin_label) for i in (0, 1)}
-        res = run_with_adversary(spec, adv, joint, 400, record=True)
+        res = run_with_adversary(spec, adv, JointInput(p1.w.entries[:3]), 400, record=True)
         assert res.outcomes[0] == offline.outcomes[0]
         assert res.outcomes[1] == offline.outcomes[1]
 
@@ -391,16 +423,14 @@ class TestNPartyAttack:
         spec = make_spec("const:3", 9)
         atk = attack_n_party(spec, 3, (6, 7, 8), 5)
         assert atk.y_star == b"\x03"
-        joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i) for i in range(6)}
-        res = run_with_adversary(spec, atk.adversary, joint, 17)
+        res = run_with_adversary(spec, atk.adversary, JointInput.zeros(spec), 17)
         assert res.pre_announced == b"\x03"
         assert res.honest_outcomes() == [b"\x03"] * 6
 
     def test_xor_exchange_five_parties_forced(self):
         spec = make_xor_exchange(5)
         atk = attack_n_party(spec, 2, (4,), 5)
-        joint = {i: JointEntry(bytes([1]) + bytes(7), b"p/%d" % i) for i in range(4)}
-        res = run_with_adversary(spec, atk.adversary, joint, 3)
+        res = run_with_adversary(spec, atk.adversary, bits_joint(spec, (1,) * 5), 3)
         outs = res.honest_outcomes()
         # honest parties agree with each other on the forced bit
         assert len(set(outs)) == 1
@@ -410,8 +440,7 @@ class TestNPartyAttack:
         spec = make_spec("const:1", 6)
         atk = attack_n_party(spec, 3, (5,), 2)
         assert atk.partition.groups == ((0, 1, 2), (3, 4), (5,))
-        joint = {i: JointEntry(spec.domains[i].zero(), b"p/%d" % i) for i in range(5)}
-        res = run_with_adversary(spec, atk.adversary, joint, 11)
+        res = run_with_adversary(spec, atk.adversary, JointInput.zeros(spec), 11)
         assert res.honest_outcomes() == [b"\x01"] * 5
 
     def test_three_parties_attacked_as_they_are(self):
