@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Any, Callable, Optional
 
@@ -45,7 +44,7 @@ from .dominance import (
     make_table,
     verify_weak_implies_strong,
 )
-from .netsim import estimate_consistency, run_with_adversary
+from .netsim import estimate_consistency, pmap, run_with_adversary, shutdown_pool, trial_chunks
 from .reports import make_report, write_csv, write_report
 from .ring import (
     attack_geometry,
@@ -112,12 +111,12 @@ def _load_table(cfg: dict) -> FunctionTable:
 def _attack_chunk(task: tuple) -> dict[str, Counter]:
     """Tallies of one trial range of an attack config: totals (success, ran,
     aborts), y* values, honest outcomes, and (party, outcome) pairs."""
-    cfg, start, count = task
+    cfg, lo, hi = task
     spec = make_spec(cfg["protocol"], cfg["n"])
     corrupt = tuple(cfg["corrupt"])
     agg = {"totals": Counter(), "y_star": Counter(), "outcomes": Counter(),
            "per_party": Counter()}
-    for i in range(start, start + count):
+    for i in range(lo, hi):
         tseed = derive_seed(cfg["seed"], "attack-trial", i)
         atk = attack_n_party(spec, cfg["t"], corrupt, tseed,
                              variant=cfg["variant"],
@@ -138,13 +137,6 @@ def _attack_chunk(task: tuple) -> dict[str, Counter]:
             agg["outcomes"][rep] += 1
             agg["per_party"][(str(pid), rep)] += 1
     return agg
-
-
-def _pmap(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, tasks))
 
 
 def _require_protocol(cfg: dict) -> str:
@@ -168,10 +160,9 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         raise ConfigError("need at least one trial")
     spec3 = three_party_form(spec, partition_to_three(n, t, corrupt))
 
-    chunk = max(1, math.ceil(trials / max(1, jobs * 4)))
-    tasks = [(cfg, lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)]
+    tasks = [(cfg, lo, hi) for lo, hi in trial_chunks(trials, jobs)]
     agg: defaultdict[str, Counter] = defaultdict(Counter)
-    for part in _pmap(_attack_chunk, tasks, jobs):
+    for part in pmap(_attack_chunk, tasks, jobs):
         for key, counts in part.items():
             agg[key].update(counts)
     success, ran, aborts = (agg["totals"][k] for k in ("success", "ran", "aborts"))
@@ -187,7 +178,8 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     if delta_trials is None:
         delta_trials = max(100, trials // (2 * m))
     consistency = estimate_consistency(spec3, embedding_family(spec3, m),
-                                       delta_trials, derive_seed(cfg["seed"], "delta"))
+                                       delta_trials, derive_seed(cfg["seed"], "delta"),
+                                       jobs=jobs)
     delta_hat = consistency.delta_hat
 
     rate = success / ran if ran else 0.0
@@ -266,7 +258,7 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
     mode = cfg["mode"]
     code = EXIT_OK
     if mode == "honest":
-        rep = measure_bias(spec, None, cfg["trials"], cfg["seed"])
+        rep = measure_bias(spec, None, cfg["trials"], cfg["seed"], jobs=jobs)
         body = {"mode": mode, "bias": rep.to_json()}
         counts = rep.counts
     elif mode == "attack":
@@ -282,7 +274,7 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
             try:
                 rep = measure_bias(spec, atk.adversary, cfg["trials"],
                                    derive_seed(cfg["seed"], "bias-forced"),
-                                   forced_value=atk.y_star)
+                                   forced_value=atk.y_star, jobs=jobs)
             except ConfigError:
                 # adversary broke agreement in every trial; report that
                 # instead of failing the whole run
@@ -293,7 +285,7 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
     elif mode == "verify":
         v = verify_no_nontrivial_bias(spec, cfg["kappa"], cfg["trials"], cfg["seed"],
                                       corrupted=tuple(corrupt),
-                                      delta_trials=cfg["delta_trials"])
+                                      delta_trials=cfg["delta_trials"], jobs=jobs)
         body = {"mode": mode, "verdict": v.to_json()}
         counts = v.forced.counts if v.forced is not None else {}
         if v.holds is False:
@@ -374,7 +366,8 @@ def cmd_consistency(cfg: dict, jobs: int = 1):
         raise ConfigError("the embedding family probes 3-party protocols; use --n 3")
     m = cfg["m"] if cfg["m"] is not None else attack_ring_size(spec.q, "strict")
     cfg["m"] = m
-    rep = estimate_consistency(spec, embedding_family(spec, m), cfg["trials"], cfg["seed"])
+    rep = estimate_consistency(spec, embedding_family(spec, m), cfg["trials"], cfg["seed"],
+                               jobs=jobs)
     body = {
         "protocol": spec.name,
         "m": m,
@@ -464,8 +457,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", help="write the JSON report here (default stdout)")
     p.add_argument("--csv", help="write a CSV summary here")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the attack trial loop (default 1); "
-                        "the other subcommands run serially with identical reports")
+                   help="worker processes for every Monte-Carlo trial loop (default 1); "
+                        "the report is byte-identical at any N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,6 +504,8 @@ def _check_value(key: str, value, default) -> None:
 
 def run_config(kind: str, cfg: dict, jobs: int = 1) -> tuple[dict, int, Any]:
     """Execute one experiment config; returns (report, exit_code, csv payload)."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     handler, _, schema = EXPERIMENTS[kind]
@@ -568,6 +563,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        shutdown_pool()
 
 
 if __name__ == "__main__":

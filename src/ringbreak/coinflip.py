@@ -20,11 +20,13 @@ rather than a vacuous claim.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, derive_seed
-from .netsim import AdversaryStrategy, estimate_consistency, run_honest, run_with_adversary
+from .netsim import (AdversaryStrategy, estimate_consistency, pmap, run_honest,
+                     run_with_adversary, trial_chunks)
 from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_strict
 from .stats import proportion_sigma, statistical_distance, wilson_interval
 
@@ -87,18 +89,12 @@ def _distance_envelope(counts: dict[str, int], total: int) -> tuple[float, float
     return statistical_distance(toward, UNIFORM_BIT), statistical_distance(away, UNIFORM_BIT), ci
 
 
-def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
-                 trials: int, seed: int, *, forced_value: Optional[bytes] = None) -> BiasReport:
-    """Empirical output distribution over consistent runs.
-
-    Honest inputs are resampled per trial; coin-flip protocols ignore them,
-    but the measurement stays meaningful for input-dependent outputs too.
-    """
-    if trials < 1000:
-        raise ConfigError("need at least 1000 trials")
-    counts = {"0": 0, "1": 0, "other": 0}
-    inconsistent = 0
-    for i in range(trials):
+def _bias_chunk(task: tuple) -> Counter:
+    """Bucket counts of the common honest output, plus "inconsistent", over
+    one [lo, hi) range of trials."""
+    spec, adversary, seed, lo, hi = task
+    tally: Counter = Counter()
+    for i in range(lo, hi):
         tseed = derive_seed(seed, "bias-measure", i)
         joint = JointInput.sample(spec, tseed)
         if adversary is None:
@@ -106,14 +102,29 @@ def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
         else:
             res = run_with_adversary(spec, adversary, joint, tseed)
         outs = res.honest_outcomes()
-        if any(o is RUNNING for o in outs):
-            inconsistent += 1
-            continue
         first = outs[0]
-        if any(o != first for o in outs[1:]):
-            inconsistent += 1
-            continue
-        counts[_bucket(first)] += 1
+        if first is RUNNING or any(o != first for o in outs[1:]):
+            tally["inconsistent"] += 1
+        else:
+            tally[_bucket(first)] += 1
+    return tally
+
+
+def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
+                 trials: int, seed: int, *, forced_value: Optional[bytes] = None,
+                 jobs: int = 1) -> BiasReport:
+    """Empirical output distribution over consistent runs.
+
+    Honest inputs are resampled per trial; coin-flip protocols ignore them,
+    but the measurement stays meaningful for input-dependent outputs too.
+    The report does not depend on `jobs`.
+    """
+    if trials < 1000:
+        raise ConfigError("need at least 1000 trials")
+    tasks = [(spec, adversary, seed, lo, hi) for lo, hi in trial_chunks(trials, jobs)]
+    tally: Counter = sum(pmap(_bias_chunk, tasks, jobs), Counter())
+    counts = {b: tally[b] for b in ("0", "1", "other")}
+    inconsistent = tally["inconsistent"]
     consistent = trials - inconsistent
     if consistent == 0:
         raise ConfigError("no consistent runs; nothing to measure")
@@ -253,13 +264,14 @@ def pilot_polarity(spec: ProtocolSpec, runs: int, seed: int) -> tuple[bytes, dic
 def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed: int, *,
                               corrupted: Optional[tuple[int, ...]] = None,
                               delta_trials: Optional[int] = None,
-                              pilot_runs: int = 256) -> BiasVerdict:
+                              pilot_runs: int = 256, jobs: int = 1) -> BiasVerdict:
     """Measure how far the forcing adversary pushes the coin from uniform.
 
     The asserted inequality is distance >= 1/2 - 2^-kappa - (3m/2+1)*delta
     - 3*sigma, with delta measured under the embedding family (the exact
     family the consistency argument consumes) and sigma the standard error
-    of the forced-bucket frequency.
+    of the forced-bucket frequency. `jobs` workers share the delta estimate
+    and the forced measurement; the verdict does not depend on it.
     """
     if not spec.round_bound.strict:
         raise ConfigError("strict attack needs a strict-round protocol")
@@ -278,7 +290,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     if delta_trials is None:
         delta_trials = max(100, trials // (2 * len(family)))
     consistency = estimate_consistency(spec, family, delta_trials,
-                                       derive_seed(seed, "bias-delta"))
+                                       derive_seed(seed, "bias-delta"), jobs=jobs)
     delta_hat = consistency.delta_hat
 
     excluded, pilot_counts = pilot_polarity(spec, pilot_runs, derive_seed(seed, "bias-pilot"))
@@ -291,7 +303,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
         try:
             forced = measure_bias(spec, attack.adversary, trials,
                                   derive_seed(seed, "bias-forced"),
-                                  forced_value=attack.y_star)
+                                  forced_value=attack.y_star, jobs=jobs)
         except ConfigError:
             # zero consistent runs: the adversary breaks agreement outright, the
             # conditional distribution is empty and the inequality says nothing

@@ -7,13 +7,21 @@ broadcast primitive; a message travels on exactly one directed edge, and the
 adversary sees only traffic addressed to corrupted parties (secure channels).
 Delivery is non-rushing: corrupted parties' round-r messages are produced
 before the adversary sees any honest round-r message.
+
+`pmap` over `trial_chunks` is the chunked map that every Monte-Carlo trial
+loop runs on, serially or on one reused process pool.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import math
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
     RUNNING,
@@ -30,6 +38,7 @@ from .core import (
 from .stats import wilson_interval
 
 MESSAGE_CAP = 4096
+CHUNKS_PER_WORKER = 4
 
 
 # Transcript record: (round, sender, receiver, payload).
@@ -349,31 +358,93 @@ class ConsistencyReport:
     ci_high: float
 
 
+def trial_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
+    """Split trials 0..total into contiguous [lo, hi) chunks, in order, about
+    CHUNKS_PER_WORKER per worker so an uneven chunk does not idle the rest."""
+    size = max(1, math.ceil(total / max(1, jobs * CHUNKS_PER_WORKER)))
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+# (worker count, executor) of this process's pool, or None before the first
+# parallel map and after shutdown_pool
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+
+
+def shutdown_pool() -> None:
+    """Stop the pool's workers, if it has any; the next parallel map starts
+    a fresh pool."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
+
+
+atexit.register(shutdown_pool)
+
+
+def pmap(fn: Callable, tasks: list, jobs: int) -> list:
+    """`[fn(t) for t in tasks]`, on min(jobs, len(tasks)) pool workers when
+    that is more than one. `fn` and the tasks must pickle; results come back
+    in task order, and an error raised by `fn` is raised here.
+
+    The pool starts on the first parallel map and is reused by every later
+    one at the same worker count. Its workers are forked (the platform
+    default on Linux) when it starts, so a module patch made after that is
+    not seen by them: a test that patches a module must run at --jobs 1, or
+    start the pool after patching. Forking is safe because ringbreak starts
+    no thread of its own before the pool. Spawned workers would each import
+    ringbreak afresh (about 0.35 s on a 2-core host), which is more than a
+    short CLI run's loops save.
+    """
+    global _pool
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    if _pool is None or _pool[0] != workers:
+        shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_pool[1].map(fn, tasks))
+    except BrokenProcessPool:
+        _pool = None  # a worker died; the next map starts a fresh pool
+        raise
+
+
+def _consistency_chunk(task: tuple) -> Counter:
+    """Failures per adversary index over one [lo, hi) range of the flattened
+    (adversary, trial) index."""
+    spec, family, trials, seed, lo, hi = task
+    failures: Counter = Counter()
+    for k in range(lo, hi):
+        a_idx, t = divmod(k, trials)
+        tseed = derive_seed(seed, "consistency", a_idx, t)
+        joint = JointInput.sample(spec, tseed)
+        res = run_with_adversary(spec, family[a_idx], joint, tseed)
+        if not check_consistency(res):
+            failures[a_idx] += 1
+    return failures
+
+
 def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[AdversaryStrategy],
-                         trials: int, seed: int) -> ConsistencyReport:
+                         trials: int, seed: int, *, jobs: int = 1) -> ConsistencyReport:
     """Monte-Carlo estimate of the inconsistency rate delta against a family.
 
     Honest inputs are drawn uniformly from the declared domains and every
     trial gets an independently derived seed, so the whole report is a pure
-    function of (spec, family, trials, seed).
+    function of (spec, family, trials, seed), whatever `jobs` is.
     """
     if trials < 100:
         raise ConfigError("need at least 100 trials for a meaningful estimate")
+    tasks = [(spec, adversary_family, trials, seed, lo, hi)
+             for lo, hi in trial_chunks(len(adversary_family) * trials, jobs)]
+    failures: Counter = sum(pmap(_consistency_chunk, tasks, jobs), Counter())
     per = []
-    pooled_fail = 0
-    pooled_total = 0
     for a_idx, adv in enumerate(adversary_family):
-        failures = 0
-        for t in range(trials):
-            tseed = derive_seed(seed, "consistency", a_idx, t)
-            joint = JointInput.sample(spec, tseed)
-            res = run_with_adversary(spec, adv, joint, tseed)
-            if not check_consistency(res):
-                failures += 1
-        lo, hi = wilson_interval(failures, trials)
-        per.append(AdversaryEstimate(adv.describe(), trials, failures, failures / trials, lo, hi))
-        pooled_fail += failures
-        pooled_total += trials
+        lo, hi = wilson_interval(failures[a_idx], trials)
+        per.append(AdversaryEstimate(adv.describe(), trials, failures[a_idx],
+                                     failures[a_idx] / trials, lo, hi))
+    pooled_fail = sum(failures.values())
+    pooled_total = len(adversary_family) * trials
     lo, hi = wilson_interval(pooled_fail, pooled_total)
     return ConsistencyReport(
         spec_name=spec.name,

@@ -1,14 +1,16 @@
 """End-to-end CLI runs: exit codes, report plumbing, reruns, seeds."""
 
 import json
+import multiprocessing
 import re
 
 import pytest
 
 import ringbreak.cli as cli
+import ringbreak.netsim as netsim
 import ringbreak.ring as ring
 from ringbreak.cli import main
-from ringbreak.core import derive_seed
+from ringbreak.core import ConfigError, derive_seed
 from ringbreak.ring import attack_n_party
 from ringbreak.zoo import make_spec
 
@@ -63,14 +65,6 @@ class TestAttack:
                      "--trials", "1", "--delta-trials", "100", "--seed", "1"])
         assert code == 1
         assert "exceeds 4096 byte cap" in capsys.readouterr().err
-
-    def test_jobs_do_not_change_the_report(self, tmp_path):
-        args = ["attack", "--protocol", "echo_xor:2", "--t", "1",
-                "--trials", "40", "--seed", "3", "--delta-trials", "100"]
-        code1, _ = run(tmp_path, *args, "--jobs", "1", name="j1.json")
-        code2, _ = run(tmp_path, *args, "--jobs", "2", name="j2.json")
-        assert code1 == code2
-        assert (tmp_path / "j1.json").read_bytes() == (tmp_path / "j2.json").read_bytes()
 
     def test_builds_one_attack_per_trial(self, tmp_path, monkeypatch):
         calls = []
@@ -192,6 +186,84 @@ class TestConfigPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "k,weak,strong,y_star"
         assert len(lines) == 4  # one row per k
+
+
+JOBS_CASES = {
+    "coinflip-verify": ["coinflip", "--mode", "verify", "--trials", "1000",
+                        "--delta-trials", "100", "--seed", "3"],
+    "coinflip-honest": ["coinflip", "--mode", "honest", "--trials", "1000", "--seed", "3"],
+    "coinflip-attack": ["coinflip", "--mode", "attack", "--trials", "1000", "--seed", "3"],
+    "consistency": ["consistency", "--protocol", "echo_xor:2", "--trials", "100",
+                    "--seed", "3"],
+    "attack-n3": ["attack", "--protocol", "echo_xor:2", "--t", "1", "--trials", "40",
+                  "--seed", "3", "--delta-trials", "100"],
+    "attack-n9": ["attack", "--protocol", "or_exchange", "--n", "9", "--t", "3",
+                  "--trials", "8", "--seed", "3", "--delta-trials", "100"],
+}
+
+
+@pytest.mark.parametrize("case", [*JOBS_CASES, "rerun"])
+def test_jobs_do_not_change_the_report(case, tmp_path):
+    if case == "rerun":
+        code, _ = run(tmp_path, *JOBS_CASES["coinflip-verify"], name="first.json")
+        args = ["rerun", "--from", str(tmp_path / "first.json")]
+    else:
+        args = JOBS_CASES[case]
+    code1, _ = run(tmp_path, *args, "--jobs", "1", name="j1.json")
+    code2, _ = run(tmp_path, *args, "--jobs", "2", name="j2.json")
+    assert code1 == code2
+    assert (tmp_path / "j1.json").read_bytes() == (tmp_path / "j2.json").read_bytes()
+    if case == "rerun":
+        assert code1 == code
+        assert (tmp_path / "j1.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("kind", [*cli.EXPERIMENTS, "rerun"])
+def test_jobs_below_one_is_a_usage_error(kind, jobs, tmp_path, inline_pool, capsys):
+    if kind == "rerun":
+        assert run(tmp_path, "validate", "--protocol", "const:1", "--trials", "3")[0] == 0
+        argv = ["rerun", "--from", str(tmp_path / "report.json")]
+    else:
+        argv = [kind]
+    capsys.readouterr()
+    assert main([*argv, "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert inline_pool.built == []
+
+
+def test_one_coinflip_run_builds_one_pool(tmp_path, inline_pool):
+    code, rep = run(tmp_path, *JOBS_CASES["coinflip-verify"], "--jobs", "2")
+    # the delta estimate and the forced measurement both ran on the pool
+    assert code == 0 and rep["verdict"]["attack_aborted"] is False
+    assert inline_pool.built == [2]
+    assert netsim._pool is None  # main shut it down
+
+
+def test_no_worker_outlives_main(tmp_path):
+    assert run(tmp_path, *JOBS_CASES["consistency"], "--jobs", "2")[0] == 0
+    assert multiprocessing.active_children() == []
+
+
+def _config_error_chunk(task):
+    raise ConfigError("raised in a worker")
+
+
+def test_errors_cross_the_pool_with_their_exit_codes(monkeypatch, capsys):
+    # at n=27 a fused echo_xor:2 bundle breaks the message cap in every trial
+    code = main(["attack", "--protocol", "echo_xor:2", "--n", "27", "--t", "9",
+                 "--trials", "4", "--delta-trials", "100", "--seed", "1", "--jobs", "2"])
+    assert code == 1
+    assert "exceeds 4096 byte cap" in capsys.readouterr().err
+    # every trial chunk now raises ConfigError inside a worker
+    monkeypatch.setattr(cli, "_attack_chunk", _config_error_chunk)
+    code = main(["attack", "--protocol", "const:1", "--t", "1", "--trials", "4",
+                 "--seed", "1", "--jobs", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: raised in a worker\n"
+    assert multiprocessing.active_children() == []
 
 
 COMMON_FLAGS = {"--config", "--report", "--csv", "--jobs"}

@@ -1,8 +1,11 @@
 """Engine semantics: delivery timing, flush, strict bounds, adversary plumbing."""
 
 import inspect
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+
+import ringbreak.netsim as netsim
 
 from ringbreak.core import (
     ConfigError,
@@ -26,6 +29,7 @@ from ringbreak.netsim import (
     result_fingerprint,
     run_honest,
     run_with_adversary,
+    trial_chunks,
 )
 from ringbreak.ring import embedding_family
 from ringbreak.zoo import make_const, make_echo_xor, make_spec, make_xor_exchange
@@ -289,6 +293,53 @@ class TestConsistency:
         rep2 = estimate_consistency(spec, embedding_family(spec, 4), 100, 1)
         assert rep.pooled_failures == rep2.pooled_failures
         assert [a.failures for a in rep.per_adversary] == [a.failures for a in rep2.per_adversary]
+
+
+def test_trial_chunks_cover_every_trial_once_in_order():
+    for jobs in range(1, 9):
+        for total in range(1, 501):
+            chunks = trial_chunks(total, jobs)
+            assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(total))
+            assert all(lo < hi for lo, hi in chunks)
+            assert len(chunks) <= jobs * netsim.CHUNKS_PER_WORKER
+
+
+class TestPool:
+    def test_serial_map_builds_no_pool(self, inline_pool):
+        assert netsim.pmap(str, [1, 2, 3], 1) == ["1", "2", "3"]
+        assert netsim.pmap(str, [4], 8) == ["4"]
+        assert inline_pool.built == []
+
+    def test_never_more_workers_than_chunks(self, inline_pool):
+        assert netsim.pmap(str, [1, 2, 3], 8) == ["1", "2", "3"]
+        assert inline_pool.built == [3]
+
+    def test_pool_is_reused_per_worker_count(self, inline_pool):
+        for _ in range(3):
+            netsim.pmap(str, list(range(10)), 2)
+        netsim.pmap(str, list(range(10)), 4)
+        assert inline_pool.built == [2, 4]
+
+    def test_broken_pool_is_dropped(self, inline_pool, monkeypatch):
+        class Broken(inline_pool):
+            def map(self, fn, tasks):
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(netsim, "ProcessPoolExecutor", Broken)
+        with pytest.raises(BrokenProcessPool):
+            netsim.pmap(str, [1, 2], 2)
+        assert netsim._pool is None
+        monkeypatch.setattr(netsim, "ProcessPoolExecutor", inline_pool)
+        assert netsim.pmap(str, [1, 2], 2) == ["1", "2"]
+        assert inline_pool.built == [2, 2]
+
+    def test_estimate_does_not_depend_on_jobs(self, inline_pool):
+        spec = make_spec("echo_xor:2", 3)
+        family = embedding_family(spec, 4)
+        one = estimate_consistency(spec, family, 100, 5)
+        assert one.pooled_failures > 0
+        for jobs in (2, 3, 8):
+            assert estimate_consistency(spec, family, 100, 5, jobs=jobs) == one
 
 
 class TestFingerprint:
