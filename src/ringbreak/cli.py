@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import asdict
 from typing import Any, Callable, Optional
 
@@ -44,7 +44,7 @@ from .dominance import (
     make_table,
     verify_weak_implies_strong,
 )
-from .netsim import estimate_consistency, pmap, run_with_adversary, shutdown_pool, trial_chunks
+from .netsim import estimate_consistency, run_with_adversary, shutdown_pool, tally
 from .reports import make_report, write_csv, write_report
 from .ring import (
     attack_geometry,
@@ -108,35 +108,25 @@ def _load_table(cfg: dict) -> FunctionTable:
 
 # ---------------------------------------------------------------- attack
 
-def _attack_chunk(task: tuple) -> dict[str, Counter]:
-    """Tallies of one trial range of an attack config: totals (success, ran,
-    aborts), y* values, honest outcomes, and (party, outcome) pairs."""
-    cfg, lo, hi = task
-    spec = make_spec(cfg["protocol"], cfg["n"])
-    corrupt = tuple(cfg["corrupt"])
-    agg = {"totals": Counter(), "y_star": Counter(), "outcomes": Counter(),
-           "per_party": Counter()}
-    for i in range(lo, hi):
-        tseed = derive_seed(cfg["seed"], "attack-trial", i)
-        atk = attack_n_party(spec, cfg["t"], corrupt, tseed,
-                             variant=cfg["variant"],
-                             q_expected=cfg["q_expected"], z=cfg["z"])
-        if atk.phase1.aborted:
-            agg["totals"]["aborts"] += 1
-            continue
-        joint = JointInput.sample(spec, derive_seed(tseed, "inputs"))
-        res = run_with_adversary(spec, atk.adversary, joint, derive_seed(tseed, "online"))
-        y = atk.y_star
-        agg["y_star"][y.hex()] += 1
-        agg["totals"]["ran"] += 1
-        outs = res.honest_outcomes()
-        if all(o == y for o in outs):
-            agg["totals"]["success"] += 1
-        for pid, out in zip(res.honest(), outs):
-            rep = outcome_repr(out)
-            agg["outcomes"][rep] += 1
-            agg["per_party"][(str(pid), rep)] += 1
-    return agg
+def _attack_trial(ctx: tuple, i: int) -> list[tuple]:
+    """Keys of attack trial i: ("aborts",) alone when phase 1 aborted, else
+    ("ran",), ("y*", hex), ("success",) when every honest output is y*, and
+    ("party", pid, outcome) per honest party."""
+    spec, cfg = ctx
+    tseed = derive_seed(cfg["seed"], "attack-trial", i)
+    atk = attack_n_party(spec, cfg["t"], tuple(cfg["corrupt"]), tseed, variant=cfg["variant"],
+                         q_expected=cfg["q_expected"], z=cfg["z"])
+    if atk.phase1.aborted:
+        return [("aborts",)]
+    joint = JointInput.sample(spec, derive_seed(tseed, "inputs"))
+    res = run_with_adversary(spec, atk.adversary, joint, derive_seed(tseed, "online"))
+    y = atk.y_star
+    outs = res.honest_outcomes()
+    keys = [("ran",), ("y*", y.hex())]
+    if all(o == y for o in outs):
+        keys.append(("success",))
+    keys += [("party", pid, outcome_repr(out)) for pid, out in zip(res.honest(), outs)]
+    return keys
 
 
 def _require_protocol(cfg: dict) -> str:
@@ -160,16 +150,15 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         raise ConfigError("need at least one trial")
     spec3 = three_party_form(spec, partition_to_three(n, t, corrupt))
 
-    tasks = [(cfg, lo, hi) for lo, hi in trial_chunks(trials, jobs)]
-    agg: defaultdict[str, Counter] = defaultdict(Counter)
-    for part in pmap(_attack_chunk, tasks, jobs):
-        for key, counts in part.items():
-            agg[key].update(counts)
-    success, ran, aborts = (agg["totals"][k] for k in ("success", "ran", "aborts"))
-    y_hist = agg["y_star"]
+    counts = tally(_attack_trial, (spec, cfg), trials, jobs)
+    success, ran, aborts = (counts[(k,)] for k in ("success", "ran", "aborts"))
+    y_hist = {key[1]: c for key, c in counts.items() if key[0] == "y*"}
+    outcomes: Counter = Counter()
     per_party: dict[str, dict[str, int]] = {}
-    for (pid, rep), count in agg["per_party"].items():
-        per_party.setdefault(pid, {})[rep] = count
+    for key, c in counts.items():
+        if key[0] == "party":
+            outcomes[key[2]] += c
+            per_party.setdefault(str(key[1]), {})[key[2]] = c
 
     q_expected = cfg["q_expected"]
     m, pstar, _ = attack_geometry(spec.q if q_expected is None else q_expected, cfg["variant"])
@@ -199,14 +188,14 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         "success_rate": rate,
         "success_ci": [lo, hi],
         "delta_hat": delta_hat,
-        "delta_ci": [consistency.ci_low, consistency.ci_high],
+        "delta_ci": consistency.delta_ci,
         "delta_trials_per_adversary": delta_trials,
         "bound": bound,
         "bound_holds": holds,
         "inconclusive": bound <= 0.0,
         "y_star": max(y_hist, key=lambda k: (y_hist[k], k)) if y_hist else None,
         "y_star_histogram": dict(sorted(y_hist.items())),
-        "outcome_histogram": dict(sorted(agg["outcomes"].items())),
+        "outcome_histogram": dict(sorted(outcomes.items())),
         "per_party_outputs": {k: dict(sorted(v.items())) for k, v in sorted(per_party.items())},
     }
     if cfg["variant"] == "expected":
@@ -217,7 +206,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
                      "abort_bound": abort_bound, "abort_ok": abort_rate <= abort_bound})
         if not body["abort_ok"]:
             code = EXIT_FAIL
-    csv_rows = ("outcome,count", sorted(agg["outcomes"].items()))
+    csv_rows = ("outcome,count", sorted(outcomes.items()))
     return body, code, csv_rows
 
 
@@ -259,7 +248,9 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
     code = EXIT_OK
     if mode == "honest":
         rep = measure_bias(spec, None, cfg["trials"], cfg["seed"], jobs=jobs)
-        body = {"mode": mode, "bias": rep.to_json()}
+        if rep is None:
+            raise ConfigError("no consistent runs; nothing to measure")
+        body = {"mode": mode, "bias": asdict(rep)}
         counts = rep.counts
     elif mode == "attack":
         if cfg["trials"] < 1000:
@@ -271,22 +262,16 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
                 "y_star": atk.y_star.hex() if atk.y_star is not None else None}
         counts = {}
         if not atk.aborted:
-            try:
-                rep = measure_bias(spec, atk.adversary, cfg["trials"],
-                                   derive_seed(cfg["seed"], "bias-forced"),
-                                   forced_value=atk.y_star, jobs=jobs)
-            except ConfigError:
-                # adversary broke agreement in every trial; report that
-                # instead of failing the whole run
-                body["forced"] = None
-            else:
-                body["forced"] = rep.to_json()
-                counts = rep.counts
+            rep = measure_bias(spec, atk.adversary, cfg["trials"],
+                               derive_seed(cfg["seed"], "bias-forced"),
+                               forced_value=atk.y_star, jobs=jobs)
+            body["forced"] = None if rep is None else asdict(rep)
+            counts = {} if rep is None else rep.counts
     elif mode == "verify":
         v = verify_no_nontrivial_bias(spec, cfg["kappa"], cfg["trials"], cfg["seed"],
                                       corrupted=tuple(corrupt),
                                       delta_trials=cfg["delta_trials"], jobs=jobs)
-        body = {"mode": mode, "verdict": v.to_json()}
+        body = {"mode": mode, "verdict": asdict(v)}
         counts = v.forced.counts if v.forced is not None else {}
         if v.holds is False:
             code = EXIT_FAIL
@@ -368,23 +353,9 @@ def cmd_consistency(cfg: dict, jobs: int = 1):
     cfg["m"] = m
     rep = estimate_consistency(spec, embedding_family(spec, m), cfg["trials"], cfg["seed"],
                                jobs=jobs)
-    body = {
-        "protocol": spec.name,
-        "m": m,
-        "trials_per_adversary": cfg["trials"],
-        "pooled_trials": rep.pooled_trials,
-        "pooled_failures": rep.pooled_failures,
-        "delta_hat": rep.delta_hat,
-        "delta_ci": [rep.ci_low, rep.ci_high],
-        "per_adversary": [
-            {"adversary": a.label, "trials": a.trials, "failures": a.failures,
-             "delta_hat": a.delta_hat, "ci": [a.ci_low, a.ci_high]}
-            for a in rep.per_adversary
-        ],
-    }
     csv_rows = ("adversary,trials,failures,delta_hat",
-                [(a.label, a.trials, a.failures, a.delta_hat) for a in rep.per_adversary])
-    return body, EXIT_OK, csv_rows
+                [(a.adversary, a.trials, a.failures, a.delta_hat) for a in rep.per_adversary])
+    return {"m": m, **asdict(rep)}, EXIT_OK, csv_rows
 
 
 def cmd_validate(cfg: dict, jobs: int = 1):

@@ -20,13 +20,12 @@ rather than a vacuous claim.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, derive_seed
-from .netsim import (AdversaryStrategy, estimate_consistency, pmap, run_honest,
-                     run_with_adversary, trial_chunks)
+from .netsim import (AdversaryStrategy, estimate_consistency, run_honest, run_with_adversary,
+                     tally)
 from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_strict
 from .stats import proportion_sigma, statistical_distance, wilson_interval
 
@@ -48,7 +47,7 @@ class BiasReport:
     intervals: the low end pulls every bucket toward uniform, the high end
     pushes it away."""
 
-    spec_name: str
+    spec: str
     adversary: Optional[str]
     trials: int
     consistent: int
@@ -56,25 +55,9 @@ class BiasReport:
     counts: dict[str, int]
     distribution: dict[str, float]
     distance: float
-    distance_low: float
-    distance_high: float
+    distance_ci: tuple[float, float]
     bucket_ci: dict[str, tuple[float, float]]
     forced_value: Optional[str] = None  # hex of the pre-announced value, if any
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec_name,
-            "adversary": self.adversary,
-            "trials": self.trials,
-            "consistent": self.consistent,
-            "inconsistent": self.inconsistent,
-            "counts": dict(sorted(self.counts.items())),
-            "distribution": {k: self.distribution[k] for k in sorted(self.distribution)},
-            "distance": self.distance,
-            "distance_ci": [self.distance_low, self.distance_high],
-            "bucket_ci": {k: list(self.bucket_ci[k]) for k in sorted(self.bucket_ci)},
-            "forced_value": self.forced_value,
-        }
 
 
 def _distance_envelope(counts: dict[str, int], total: int) -> tuple[float, float, dict]:
@@ -89,31 +72,28 @@ def _distance_envelope(counts: dict[str, int], total: int) -> tuple[float, float
     return statistical_distance(toward, UNIFORM_BIT), statistical_distance(away, UNIFORM_BIT), ci
 
 
-def _bias_chunk(task: tuple) -> Counter:
-    """Bucket counts of the common honest output, plus "inconsistent", over
-    one [lo, hi) range of trials."""
-    spec, adversary, seed, lo, hi = task
-    tally: Counter = Counter()
-    for i in range(lo, hi):
-        tseed = derive_seed(seed, "bias-measure", i)
-        joint = JointInput.sample(spec, tseed)
-        if adversary is None:
-            res = run_honest(spec, joint, tseed)
-        else:
-            res = run_with_adversary(spec, adversary, joint, tseed)
-        outs = res.honest_outcomes()
-        first = outs[0]
-        if first is RUNNING or any(o != first for o in outs[1:]):
-            tally["inconsistent"] += 1
-        else:
-            tally[_bucket(first)] += 1
-    return tally
+def _bias_trial(ctx: tuple, i: int) -> tuple:
+    """(bucket of trial i's common honest output,), or ("inconsistent",)."""
+    spec, adversary, seed = ctx
+    tseed = derive_seed(seed, "bias-measure", i)
+    joint = JointInput.sample(spec, tseed)
+    if adversary is None:
+        res = run_honest(spec, joint, tseed)
+    else:
+        res = run_with_adversary(spec, adversary, joint, tseed)
+    outs = res.honest_outcomes()
+    first = outs[0]
+    if first is RUNNING or any(o != first for o in outs[1:]):
+        return ("inconsistent",)
+    return (_bucket(first),)
 
 
 def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
                  trials: int, seed: int, *, forced_value: Optional[bytes] = None,
-                 jobs: int = 1) -> BiasReport:
-    """Empirical output distribution over consistent runs.
+                 jobs: int = 1) -> Optional[BiasReport]:
+    """Empirical output distribution over consistent runs, or None when no
+    run was consistent: then the adversary breaks agreement outright and the
+    conditional distribution is empty.
 
     Honest inputs are resampled per trial; coin-flip protocols ignore them,
     but the measurement stays meaningful for input-dependent outputs too.
@@ -121,17 +101,16 @@ def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
     """
     if trials < 1000:
         raise ConfigError("need at least 1000 trials")
-    tasks = [(spec, adversary, seed, lo, hi) for lo, hi in trial_chunks(trials, jobs)]
-    tally: Counter = sum(pmap(_bias_chunk, tasks, jobs), Counter())
-    counts = {b: tally[b] for b in ("0", "1", "other")}
-    inconsistent = tally["inconsistent"]
+    seen = tally(_bias_trial, (spec, adversary, seed), trials, jobs)
+    counts = {b: seen[b] for b in ("0", "1", "other")}
+    inconsistent = seen["inconsistent"]
     consistent = trials - inconsistent
     if consistent == 0:
-        raise ConfigError("no consistent runs; nothing to measure")
+        return None
     distribution = {b: c / consistent for b, c in counts.items()}
     lo, hi, ci = _distance_envelope(counts, consistent)
     return BiasReport(
-        spec_name=spec.name,
+        spec=spec.name,
         adversary=adversary.describe() if adversary is not None else None,
         trials=trials,
         consistent=consistent,
@@ -139,8 +118,7 @@ def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
         counts=counts,
         distribution=distribution,
         distance=statistical_distance(distribution, UNIFORM_BIT),
-        distance_low=lo,
-        distance_high=hi,
+        distance_ci=(lo, hi),
         bucket_ci=ci,
         forced_value=forced_value.hex() if forced_value is not None else None,
     )
@@ -204,7 +182,7 @@ class BiasVerdict:
     consistency-degraded bound. A non-positive bound means the protocol is
     too inconsistent for the inequality to say anything: INCONCLUSIVE."""
 
-    spec_name: str
+    spec: str
     kappa: int
     m: int
     corrupted: tuple[int, ...]
@@ -221,27 +199,6 @@ class BiasVerdict:
     bound: float
     holds: Optional[bool]
     inconclusive: bool
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec_name,
-            "kappa": self.kappa,
-            "m": self.m,
-            "corrupted": list(self.corrupted),
-            "excluded": self.excluded,
-            "pilot_counts": dict(sorted(self.pilot_counts.items())),
-            "delta_hat": self.delta_hat,
-            "delta_ci": list(self.delta_ci),
-            "attack_aborted": self.attack_aborted,
-            "attempts": self.attempts,
-            "y_star": self.y_star,
-            "forced": self.forced.to_json() if self.forced is not None else None,
-            "distance": self.distance,
-            "sigma3": self.sigma3,
-            "bound": self.bound,
-            "holds": self.holds,
-            "inconclusive": self.inconclusive,
-        }
 
 
 def pilot_polarity(spec: ProtocolSpec, runs: int, seed: int) -> tuple[bytes, dict[str, int]]:
@@ -300,21 +257,16 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat
     forced = sigma3 = None
     if not attack.aborted:
-        try:
-            forced = measure_bias(spec, attack.adversary, trials,
-                                  derive_seed(seed, "bias-forced"),
-                                  forced_value=attack.y_star, jobs=jobs)
-        except ConfigError:
-            # zero consistent runs: the adversary breaks agreement outright, the
-            # conditional distribution is empty and the inequality says nothing
-            pass
+        # None when no run was consistent: then the inequality says nothing
+        forced = measure_bias(spec, attack.adversary, trials, derive_seed(seed, "bias-forced"),
+                              forced_value=attack.y_star, jobs=jobs)
     if forced is not None:
         sigma3 = 3 * proportion_sigma(forced.counts[_bucket(attack.y_star)], forced.consistent)
         bound -= sigma3
     return BiasVerdict(
-        spec_name=spec.name, kappa=kappa, m=m, corrupted=corrupted,
+        spec=spec.name, kappa=kappa, m=m, corrupted=corrupted,
         excluded=excluded.hex(), pilot_counts=pilot_counts, delta_hat=delta_hat,
-        delta_ci=(consistency.ci_low, consistency.ci_high),
+        delta_ci=consistency.delta_ci,
         attack_aborted=attack.aborted, attempts=attack.attempts,
         y_star=None if attack.aborted else attack.y_star.hex(),
         forced=forced,

@@ -8,8 +8,9 @@ adversary sees only traffic addressed to corrupted parties (secure channels).
 Delivery is non-rushing: corrupted parties' round-r messages are produced
 before the adversary sees any honest round-r message.
 
-`pmap` over `trial_chunks` is the chunked map that every Monte-Carlo trial
-loop runs on, serially or on one reused process pool.
+`tally` is every Monte-Carlo trial loop: it counts the keys a per-trial
+function returns, over `trial_chunks` mapped by `pmap` serially or on one
+reused process pool.
 """
 
 from __future__ import annotations
@@ -338,24 +339,22 @@ def check_consistency(result: ExecutionResult) -> bool:
 
 @dataclass
 class AdversaryEstimate:
-    label: str
+    adversary: str
     trials: int
     failures: int
     delta_hat: float
-    ci_low: float
-    ci_high: float
+    ci: tuple[float, float]
 
 
 @dataclass
 class ConsistencyReport:
-    spec_name: str
-    trials: int
+    protocol: str
+    trials_per_adversary: int
     per_adversary: list[AdversaryEstimate]
     pooled_trials: int
     pooled_failures: int
     delta_hat: float
-    ci_low: float
-    ci_high: float
+    delta_ci: tuple[float, float]
 
 
 def trial_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -410,19 +409,36 @@ def pmap(fn: Callable, tasks: list, jobs: int) -> list:
         raise
 
 
-def _consistency_chunk(task: tuple) -> Counter:
-    """Failures per adversary index over one [lo, hi) range of the flattened
-    (adversary, trial) index."""
-    spec, family, trials, seed, lo, hi = task
-    failures: Counter = Counter()
-    for k in range(lo, hi):
-        a_idx, t = divmod(k, trials)
-        tseed = derive_seed(seed, "consistency", a_idx, t)
-        joint = JointInput.sample(spec, tseed)
-        res = run_with_adversary(spec, family[a_idx], joint, tseed)
-        if not check_consistency(res):
-            failures[a_idx] += 1
-    return failures
+def _tally_chunk(task: tuple) -> Counter:
+    """`tally`'s count over one [lo, hi) range of trials."""
+    trial, ctx, lo, hi = task
+    counts: Counter = Counter()
+    for i in range(lo, hi):
+        counts.update(trial(ctx, i))
+    return counts
+
+
+def tally(trial: Callable, ctx: Any, total: int, jobs: int) -> Counter:
+    """How often each key comes back from `trial(ctx, i)` over i in
+    range(total); a trial returns its keys (none, one or several).
+
+    The trials run in `trial_chunks` through `pmap`, so `trial` must be a
+    module-level function and `ctx` must pickle; the count does not depend
+    on `jobs`.
+    """
+    tasks = [(trial, ctx, lo, hi) for lo, hi in trial_chunks(total, jobs)]
+    return sum(pmap(_tally_chunk, tasks, jobs), Counter())
+
+
+def _consistency_trial(ctx: tuple, k: int) -> tuple:
+    """(adversary index,) when trial k of the flattened (adversary, trial)
+    index ends inconsistent, else ()."""
+    spec, family, trials, seed = ctx
+    a_idx, t = divmod(k, trials)
+    tseed = derive_seed(seed, "consistency", a_idx, t)
+    joint = JointInput.sample(spec, tseed)
+    res = run_with_adversary(spec, family[a_idx], joint, tseed)
+    return () if check_consistency(res) else (a_idx,)
 
 
 def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[AdversaryStrategy],
@@ -435,26 +451,21 @@ def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[Adversar
     """
     if trials < 100:
         raise ConfigError("need at least 100 trials for a meaningful estimate")
-    tasks = [(spec, adversary_family, trials, seed, lo, hi)
-             for lo, hi in trial_chunks(len(adversary_family) * trials, jobs)]
-    failures: Counter = sum(pmap(_consistency_chunk, tasks, jobs), Counter())
-    per = []
-    for a_idx, adv in enumerate(adversary_family):
-        lo, hi = wilson_interval(failures[a_idx], trials)
-        per.append(AdversaryEstimate(adv.describe(), trials, failures[a_idx],
-                                     failures[a_idx] / trials, lo, hi))
-    pooled_fail = sum(failures.values())
     pooled_total = len(adversary_family) * trials
-    lo, hi = wilson_interval(pooled_fail, pooled_total)
+    failures = tally(_consistency_trial, (spec, adversary_family, trials, seed),
+                     pooled_total, jobs)
+    per = [AdversaryEstimate(adv.describe(), trials, failures[a_idx],
+                             failures[a_idx] / trials, wilson_interval(failures[a_idx], trials))
+           for a_idx, adv in enumerate(adversary_family)]
+    pooled_fail = failures.total()
     return ConsistencyReport(
-        spec_name=spec.name,
-        trials=trials,
+        protocol=spec.name,
+        trials_per_adversary=trials,
         per_adversary=per,
         pooled_trials=pooled_total,
         pooled_failures=pooled_fail,
         delta_hat=pooled_fail / pooled_total,
-        ci_low=lo,
-        ci_high=hi,
+        delta_ci=wilson_interval(pooled_fail, pooled_total),
     )
 
 

@@ -586,6 +586,8 @@ def partition_to_three(n: int, t: int, corrupted: Sequence[int]) -> Partition:
     """
     if n < 3:
         raise ConfigError(f"the reduction to three parties needs n >= 3, got n={n}")
+    if t >= n:
+        raise ConfigError(f"t={t} corruptions must be fewer than n={n} parties")
     corrupt = tuple(sorted(set(corrupted)))
     if any(i < 0 or i >= n for i in corrupt):
         raise ConfigError("corrupted indices out of range")

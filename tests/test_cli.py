@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, report plumbing, reruns, seeds."""
 
+import csv
 import json
 import multiprocessing
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 
 import ringbreak.cli as cli
+import ringbreak.coinflip as coinflip
 import ringbreak.netsim as netsim
 import ringbreak.ring as ring
 from ringbreak.cli import main
@@ -138,6 +140,14 @@ class TestAttack:
         code, rep = run(tmp_path, *args)
         assert code == 0 and rep["config"]["q_expected"] is None
 
+    @pytest.mark.parametrize("t", [3, 5])
+    def test_t_not_below_n_is_a_usage_error(self, t, tmp_path, capsys):
+        code, rep = run(tmp_path, "attack", "--protocol", "xor_exchange", "--n", "3",
+                        "--t", str(t), "--trials", "10", "--delta-trials", "100")
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == \
+            f"error: t={t} corruptions must be fewer than n=3 parties\n"
+
     def test_rerun_rejects_non_report(self, tmp_path):
         bogus = tmp_path / "x.json"
         bogus.write_text("{}")
@@ -186,6 +196,26 @@ class TestConfigPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "k,weak,strong,y_star"
         assert len(lines) == 4  # one row per k
+
+    def test_attack_csv_is_the_outcome_histogram(self, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, rep = run(tmp_path, *JOBS_CASES["attack-n3"], "--csv", str(csv_path))
+        assert code in (0, 1)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["outcome"]: int(r["count"]) for r in rows} == rep["outcome_histogram"]
+        assert sum(int(r["count"]) for r in rows) == 2 * rep["ran"]  # two honest parties
+
+    def test_consistency_csv_is_per_adversary(self, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, rep = run(tmp_path, *JOBS_CASES["consistency"], "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as fh:
+            rows = [(r["adversary"], int(r["trials"]), int(r["failures"]),
+                     float(r["delta_hat"])) for r in csv.DictReader(fh)]
+        assert rows == [(a["adversary"], a["trials"], a["failures"], a["delta_hat"])
+                        for a in rep["per_adversary"]]
+        assert len(rows) > 1 and sum(r[2] for r in rows) == rep["pooled_failures"] > 0
 
 
 JOBS_CASES = {
@@ -242,12 +272,20 @@ def test_one_coinflip_run_builds_one_pool(tmp_path, inline_pool):
     assert netsim._pool is None  # main shut it down
 
 
+def test_honest_coin_with_no_consistent_run_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(coinflip, "_bias_trial", lambda ctx, i: ("inconsistent",))
+    assert main(["coinflip", "--mode", "honest", "--trials", "1000", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no consistent runs; nothing to measure\n"
+
+
 def test_no_worker_outlives_main(tmp_path):
     assert run(tmp_path, *JOBS_CASES["consistency"], "--jobs", "2")[0] == 0
     assert multiprocessing.active_children() == []
 
 
-def _config_error_chunk(task):
+def _config_error_trial(ctx, i):
     raise ConfigError("raised in a worker")
 
 
@@ -257,8 +295,8 @@ def test_errors_cross_the_pool_with_their_exit_codes(monkeypatch, capsys):
                  "--trials", "4", "--delta-trials", "100", "--seed", "1", "--jobs", "2"])
     assert code == 1
     assert "exceeds 4096 byte cap" in capsys.readouterr().err
-    # every trial chunk now raises ConfigError inside a worker
-    monkeypatch.setattr(cli, "_attack_chunk", _config_error_chunk)
+    # every attack trial now raises ConfigError inside a worker
+    monkeypatch.setattr(cli, "_attack_trial", _config_error_trial)
     code = main(["attack", "--protocol", "const:1", "--t", "1", "--trials", "4",
                  "--seed", "1", "--jobs", "2"])
     assert code == 2

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,7 @@ from ringbreak.coinflip import (
     pilot_polarity,
     verify_no_nontrivial_bias,
 )
-from ringbreak.core import ConfigError
+from ringbreak.core import ConfigError, derive_seed
 from ringbreak.ring import attack_ring_size
 from ringbreak.zoo import make_spec
 
@@ -42,7 +43,8 @@ class TestMeasureBias:
         assert rep.consistent == 2000 and rep.inconsistent == 0
         assert rep.counts["other"] == 0
         assert rep.distance <= 0.05
-        assert rep.distance_low <= rep.distance <= rep.distance_high
+        low, high = rep.distance_ci
+        assert low <= rep.distance <= high
 
     def test_minimum_trials(self):
         spec = make_spec("fair_coin", 3)
@@ -63,7 +65,7 @@ class TestMeasureBias:
         rep = measure_bias(make_spec("const:0", 3), None, 1000, seed=1,
                            forced_value=b"\x01")
         assert rep.forced_value == "01"
-        assert rep.to_json()["forced_value"] == "01"
+        assert asdict(rep)["forced_value"] == "01"
 
 
 class TestBiasAttack:
@@ -105,6 +107,15 @@ class TestBiasAttack:
                               forced_value=res.y_star)
         assert forced.counts["1"] == forced.consistent
         assert forced.distance == 0.5
+
+    def test_no_consistent_run_measures_nothing(self):
+        # the fair_coin forcing adversary at this seed breaks agreement in
+        # every trial: the conditional distribution is empty, not an error
+        spec = make_spec("fair_coin", 3)
+        res = bias_attack(spec, (2,), kappa=10, seed=derive_seed(3, "bias-search"))
+        assert not res.aborted
+        assert measure_bias(spec, res.adversary, 1000, seed=derive_seed(3, "bias-forced"),
+                            forced_value=res.y_star) is None
 
     def test_fair_coin_search_terminates(self):
         res = bias_attack(make_spec("fair_coin", 3), (2,), kappa=12, seed=21)
@@ -168,7 +179,7 @@ class TestVerdict:
         v = verify_no_nontrivial_bias(make_spec("fair_coin", 3), kappa=6,
                                       trials=1000, seed=3, delta_trials=100,
                                       pilot_runs=64)
-        d = v.to_json()
+        d = asdict(v)
         for key in ("spec", "kappa", "m", "delta_hat", "bound", "holds",
                     "inconclusive", "pilot_counts", "attempts"):
             assert key in d
@@ -183,4 +194,4 @@ class TestVerdict:
                                       trials=1000, seed=42, delta_trials=100)
         b = verify_no_nontrivial_bias(make_spec("const:1", 3), kappa=8,
                                       trials=1000, seed=42, delta_trials=100)
-        assert a.to_json() == b.to_json()
+        assert asdict(a) == asdict(b)

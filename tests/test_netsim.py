@@ -1,6 +1,7 @@
 """Engine semantics: delivery timing, flush, strict bounds, adversary plumbing."""
 
 import inspect
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -29,6 +30,7 @@ from ringbreak.netsim import (
     result_fingerprint,
     run_honest,
     run_with_adversary,
+    tally,
     trial_chunks,
 )
 from ringbreak.ring import embedding_family
@@ -302,6 +304,24 @@ def test_trial_chunks_cover_every_trial_once_in_order():
             assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(total))
             assert all(lo < hi for lo, hi in chunks)
             assert len(chunks) <= jobs * netsim.CHUNKS_PER_WORKER
+
+
+def _keys(ctx, i):
+    """No key when ctx divides i; else i mod 3, plus "odd" twice for odd i."""
+    if i % ctx == 0:
+        return ()
+    return [i % 3, "odd", "odd"] if i % 2 else [i % 3]
+
+
+def test_tally_equals_the_serial_count(inline_pool):
+    for total in range(61):
+        serial = Counter()
+        for i in range(total):
+            serial.update(_keys(5, i))
+        for jobs in range(1, 5):
+            assert tally(_keys, 5, total, jobs) == serial, (total, jobs)
+    assert tally(_keys, 5, 0, 3) == Counter()
+    assert tally(_keys, 5, 3, 1) == Counter({1: 1, 2: 1, "odd": 2})
 
 
 class TestPool:
