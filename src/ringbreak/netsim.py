@@ -6,7 +6,10 @@ delivered and become visible to the round-(r+1) step calls. There is no
 broadcast primitive; a message travels on exactly one directed edge, and the
 adversary sees only traffic addressed to corrupted parties (secure channels).
 Delivery is non-rushing: corrupted parties' round-r messages are produced
-before the adversary sees any honest round-r message.
+before the adversary sees any honest round-r message. The adversary steps
+only in rounds whose sends an honest party can read: it is not called in a
+round after which no honest party runs, nor in the flush round past the cap,
+so its sends there are never computed or route-checked.
 
 `tally` is every Monte-Carlo trial loop: it counts the keys a per-trial
 function returns, over `trial_chunks` mapped by `pmap` serially or on one
@@ -109,10 +112,12 @@ class AdversaryContext:
 class AdversaryStrategy:
     """Round-driven adversary controlling a fixed corrupted set.
 
-    `step` is called once per round with the messages addressed to corrupted
-    parties in the previous round; the returned outbound maps directed edges
-    (corrupted sender, receiver) to payloads for this round. pre_announce is
-    read once, before any message has been seen.
+    `step` is called in every round after which some honest party still
+    runs, and never in the flush round past the cap, with the messages
+    addressed to corrupted parties in the previous round; the returned
+    outbound maps directed edges (corrupted sender, receiver) to payloads
+    for this round. pre_announce is read once, before any message has been
+    seen.
     """
 
     corrupted: frozenset[int] = frozenset()
@@ -253,20 +258,22 @@ def _execute(
         for src, dst, payload in sends:
             _route_check(n, src, dst, payload)
 
-        if adversary is not None:
-            adv_state, outbound = adversary.step(adv_state, r, adv_pending)
-            for (src, dst), payload in outbound.items():
-                if src not in corrupted:
-                    raise TopologyViolation(f"adversary sent from honest party {src}")
-                _route_check(n, src, dst, payload)
-                sends.append((src, dst, payload))
-
         for i in running:
             fin = spec.programs[i].finished(states[i])
             if fin is not None:
                 outcomes[i] = fin
                 halt_rounds[i] = min(r, max_rounds)
         running = [i for i in running if outcomes[i] is None]
+
+        # the adversary's round-r sends reach honest parties in round r+1:
+        # with none left running, or in the flush round, nobody reads them
+        if adversary is not None and running and not flush:
+            adv_state, outbound = adversary.step(adv_state, r, adv_pending)
+            for (src, dst), payload in outbound.items():
+                if src not in corrupted:
+                    raise TopologyViolation(f"adversary sent from honest party {src}")
+                _route_check(n, src, dst, payload)
+                sends.append((src, dst, payload))
 
         if strict_q is not None and r >= strict_q + 1 and running:
             raise SpecViolation(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -138,8 +138,23 @@ class RingNetwork:
     def distance(self, u: int, v: int) -> int:
         return ring_distance(self.size, u, v)
 
+    @cached_property
+    def _slot_programs(self) -> tuple[RingSlotProgram, ...]:
+        return tuple(RingSlotProgram(self.spec3.programs[s % 3], s, self.size)
+                     for s in range(self.size))
+
+    @cached_property
+    def _zeros_w(self) -> JointInput:
+        return JointInput(tuple(
+            JointEntry(self.spec3.domains[s % 3].zero(), b"ring/%d" % s)
+            for s in range(self.size)
+        ))
+
     def slot_program(self, slot: int, base: Optional[PartyProgram] = None) -> RingSlotProgram:
-        return RingSlotProgram(base or self.spec3.programs[slot % 3], slot, self.size)
+        """The slot's role program, wrapped once per ring, or `base` wrapped for the slot."""
+        if base is None:
+            return self._slot_programs[slot]
+        return RingSlotProgram(base, slot, self.size)
 
     def engine_spec(self, overrides: Optional[dict[int, PartyProgram]] = None) -> ProtocolSpec:
         """ProtocolSpec over all slots, optionally with replaced slot programs."""
@@ -156,10 +171,8 @@ class RingNetwork:
         )
 
     def zeros_w(self) -> JointInput:
-        return JointInput(tuple(
-            JointEntry(self.spec3.domains[s % 3].zero(), b"ring/%d" % s)
-            for s in range(self.size)
-        ))
+        """The all-zero ring input, built once per ring."""
+        return self._zeros_w
 
     def sample_w(self, seed: int, label_prefix: bytes = b"ring") -> JointInput:
         w = SampledRingInput(self, seed, label_prefix)
@@ -179,6 +192,13 @@ class SampledRingInput:
     def __getitem__(self, s: int) -> JointEntry:
         return JointEntry(self.domains[s % 3].sample(self.src, offset=128 * s),
                           self.label_prefix + b"/%d" % s)
+
+
+@lru_cache(maxsize=64)
+def _ring_network(spec3: ProtocolSpec, m: int) -> RingNetwork:
+    """The ring of m copies of spec3, built once per (spec3, m), so repeated
+    phase-1 runs and probes share its slot programs and zero input."""
+    return RingNetwork(spec3, m)
 
 
 def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *,
@@ -288,7 +308,7 @@ def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> Att
     """Up to z offline ring runs on fixed w, each with fresh coins and cut off
     after m rounds; the first in which P* halts fixes y*."""
     m, pstar, dist = attack_geometry(q, variant)
-    ring = RingNetwork(spec3, m)
+    ring = _ring_network(spec3, m)
     w = ring.zeros_w()
     for it in range(1, z + 1):
         exec_seed = derive_seed(seed, "phase1", it)
@@ -452,7 +472,8 @@ class RingBridge(AdversaryStrategy):
     """Real honest parties in adjacent slots of a ring the adversary simulates.
 
     `slots` maps each honest party to its slot; the other roles are corrupted.
-    The remaining slots run in a VirtualRing stepped once per real round,
+    The remaining slots run in a VirtualRing stepped in each real round the
+    engine steps the adversary in (none after the honest parties' last step),
     and each honest party's channel to a corrupted role bridges to the
     neighboring virtual slot. Subclasses choose the ring input and seed.
     """
@@ -504,7 +525,7 @@ class NeighborEmbeddingAdversary(RingBridge):
         if not 1 <= j <= m:
             raise ConfigError("copy index j out of range")
         self.j = j
-        ring = RingNetwork(spec3, m)
+        ring = _ring_network(spec3, m)
         super().__init__(ring, {0: ring.slot_of(0, j), 1: ring.slot_of(1, j)}, None)
 
     def describe(self) -> str:

@@ -195,6 +195,19 @@ class TestTopology:
             run_honest(spec, JointInput.zeros(spec), 1)
 
 
+class RoundRecorder(AdversaryStrategy):
+    """Corrupts party 2, sends nothing and records the rounds it is called in."""
+
+    corrupted = frozenset({2})
+
+    def __init__(self):
+        self.rounds = []
+
+    def step(self, state, round_no, inbound):
+        self.rounds.append(round_no)
+        return state, {}
+
+
 class TestAdversaryPlumbing:
     def test_passive_is_byte_identical_to_honest(self):
         spec = make_echo_xor(3, 2)
@@ -235,10 +248,50 @@ class TestAdversaryPlumbing:
                 seen[round_no] = dict(inbound)
                 return state, {}
 
-        spec = make_xor_exchange(3)
+        # echo_xor:1 runs 3 rounds, so round 2 is played
+        spec = make_echo_xor(3, 1)
         run_with_adversary(spec, Recorder(), bits_joint(spec, (1, 1, 0)), 1)
         assert seen[1] == {}  # round-1 call precedes any delivery
         assert seen[2] == {(0, 2): b"\x01", (1, 2): b"\x01"}
+
+    def test_adversary_skips_the_round_after_the_last_honest_step(self):
+        # xor_exchange halts every honest party in round 2; what the
+        # adversary would send in round 2 reaches nobody
+        recorder = RoundRecorder()
+        spec = make_xor_exchange(3)
+        res = run_with_adversary(spec, recorder, bits_joint(spec, (1, 1, 0)), 1)
+        assert res.halt_rounds[:2] == [2, 2]
+        assert recorder.rounds == [1]
+
+    def test_adversary_skips_the_flush_round(self):
+        # an expected-round spec whose parties never halt is cut off at
+        # 64 * q = 64 rounds; round 65 is the flush round
+        spec = ProtocolSpec("stall", tuple(_Laggard(10**9) for _ in range(3)),
+                            RoundBound("expected", 1), tuple(RawInput(1) for _ in range(3)))
+        recorder = RoundRecorder()
+        res = run_with_adversary(spec, recorder, JointInput.zeros(spec), 1)
+        assert res.rounds == 64
+        assert res.honest_outcomes() == [RUNNING, RUNNING]
+        assert recorder.rounds == list(range(1, 65))
+
+    def test_bad_send_in_an_unplayed_round_is_not_checked(self):
+        # a send on an edge that does not exist raises in a played round,
+        # and is never computed in the round after xor_exchange's last step
+        class StrayAt(AdversaryStrategy):
+            corrupted = frozenset({2})
+
+            def __init__(self, bad_round):
+                self.bad_round = bad_round
+
+            def step(self, state, round_no, inbound):
+                return state, {(2, 7): b"x"} if round_no == self.bad_round else {}
+
+        spec = make_xor_exchange(3)
+        joint = bits_joint(spec, (1, 1, 0))
+        with pytest.raises(TopologyViolation, match="no edge 2->7"):
+            run_with_adversary(spec, StrayAt(1), joint, 1)
+        res = run_with_adversary(spec, StrayAt(2), joint, 1)
+        assert res.honest_outcomes() == [b"\x00", b"\x00"]
 
     def test_pre_announce_lands_in_result(self):
         class Announcer(AdversaryStrategy):

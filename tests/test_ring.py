@@ -674,13 +674,26 @@ class TestLightCone:
         assert calls[0] == 16
 
     def test_embedding_run_steps_only_the_light_cone(self, monkeypatch):
-        # the two slots next to the real pair step 4 times each; 10 virtual
-        # slots would take 40 steps in the full ring
+        # the real pair halts in round 4, so the ring is stepped in rounds
+        # 1-3 only, with lags 0, 0-1 and 0-2 of two slots each: 2 + 4 + 6
+        # steps; 10 virtual slots would take 40 steps in the full ring
         spec = make_spec("echo_xor:2", 3)
         adv = NeighborEmbeddingAdversary(spec, 4, 2)
         calls = count_slot_steps(monkeypatch)
         run_with_adversary(spec, adv, JointInput.sample(spec, 3), 3)
-        assert calls[0] == 20
+        assert calls[0] == 12
+
+    @pytest.mark.parametrize("selector,steps", [("echo_xor:2", 12), ("fair_coin", 2)])
+    def test_online_attack_steps_only_rounds_an_honest_party_reads(self, monkeypatch,
+                                                                  selector, steps):
+        # as the embedding run: echo_xor:2 is stepped in rounds 1-3 (2 + 4 + 6
+        # slot steps); fair_coin halts in round 2, so only round 1's two
+        # observed slots step
+        spec = make_spec(selector, 3)
+        adv = AttackAdversary(phase1_strict(spec, 5), frozenset({2}))
+        calls = count_slot_steps(monkeypatch)
+        run_with_adversary(spec, adv, JointInput.sample(spec, 3), 3)
+        assert calls[0] == steps
 
     def test_oversize_message_in_pstar_cone_raises(self):
         # role 2 on slot 8 sits next to P* = slot 7 and oversteps the cap on
