@@ -15,8 +15,10 @@ distinct tokens in that order. Forcing is summarized per level: for every
 k-set, the first assignment (mixed-radix order) that forces each code. A
 level is built on demand, once per table, by one batched pass: gather the
 coded table into each set's (assignment, rest) rows and reduce every row to
-all-equal or not. Both deciders, at every k, read those summaries;
-`forced_value` slices the table independently to recheck their witnesses.
+all-equal or not. Both deciders, at every k, read those summaries. Every
+witness they return is rechecked against the table without the level: its
+claimed blocks are gathered by the table's strides in one numpy pass per
+chunk of sets, and its first block is read once more through `forced_value`.
 """
 
 from __future__ import annotations
@@ -183,6 +185,16 @@ _UNFORCED = np.iinfo(np.intp).max
 _LAYOUT_CACHE_CELLS = 2 ** 16
 
 
+def _chunks(f: FunctionTable, k: int):
+    """The k-sets in chunks (lo, hi) of at most PROFILE_BUDGET table cells, at
+    least one set each, and whether a chunk is small enough to cache."""
+    total = comb(f.n, k)
+    chunk = max(1, PROFILE_BUDGET // f.size)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        yield lo, hi, (hi - lo) * f.size <= _LAYOUT_CACHE_CELLS
+
+
 @lru_cache(maxsize=32)
 def _layout(domains: tuple[int, ...], k: int, lo: int, hi: int):
     """How to gather the k-sets lo..hi-1 (combinations order) out of a flat table.
@@ -208,6 +220,27 @@ def _layout(domains: tuple[int, ...], k: int, lo: int, hi: int):
     return subsets, gather, starts, row_set, row_assignment, dims
 
 
+@lru_cache(maxsize=32)
+def _blocks(domains: tuple[int, ...], k: int, lo: int, hi: int):
+    """Where the blocks of the k-sets lo..hi-1 (combinations order) sit in a
+    C-order flat table.
+
+    `dims` and `strides` hold each set's domain sizes (flat, set by set) and
+    the table strides of its coordinates, (sets, k); an assignment's block
+    starts at assignment · strides. `offsets` lists every set's block cells
+    relative to that start, set after set, and `owner` names each one's set.
+    """
+    n = len(domains)
+    cells = np.arange(prod(domains)).reshape(domains)
+    sets = list(itertools.islice(itertools.combinations(range(n), k), lo, hi))
+    at = np.array(sets, dtype=np.intp)
+    stride = np.array([prod(domains[p + 1:]) for p in range(n)], dtype=np.intp)
+    blocks = [cells[tuple(0 if p in s else slice(None) for p in range(n))].ravel()
+              for s in sets]
+    owner = np.repeat(np.arange(len(sets)), [len(b) for b in blocks])
+    return sets, np.array(domains)[at].ravel(), stride[at], np.concatenate(blocks), owner
+
+
 @dataclass(frozen=True)
 class _Level:
     """For every k-set (combinations order) and every code: the first
@@ -217,11 +250,15 @@ class _Level:
     first: np.ndarray   # (sets, codes)
     dims: np.ndarray    # (sets, k) domain sizes of each set's coordinates
 
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        """(sets, k) mixed-radix place values of each set's coordinates."""
+        strides = np.cumprod(self.dims[:, :0:-1], axis=1)[:, ::-1]
+        return np.concatenate([strides, np.ones((len(self.dims), 1), np.intp)], axis=1)
+
     def assignments(self, index: np.ndarray) -> list[tuple[int, ...]]:
         """Per set, the assignment with the given mixed-radix index."""
-        strides = np.cumprod(self.dims[:, :0:-1], axis=1)[:, ::-1]
-        strides = np.concatenate([strides, np.ones((len(self.dims), 1), np.intp)], axis=1)
-        return list(map(tuple, (index[:, None] // strides % self.dims).tolist()))
+        return list(map(tuple, (index[:, None] // self._strides % self.dims).tolist()))
 
 
 def _build_level(f: FunctionTable, k: int) -> _Level:
@@ -229,12 +266,8 @@ def _build_level(f: FunctionTable, k: int) -> _Level:
     of at most PROFILE_BUDGET cells (at least one set per chunk)."""
     tokens, codes = f._coded
     flat = codes.ravel()
-    total = comb(f.n, k)
-    chunk = max(1, PROFILE_BUDGET // f.size)
     subsets, firsts, dims = [], [], []
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        cached = (hi - lo) * f.size <= _LAYOUT_CACHE_CELLS
+    for lo, hi, cached in _chunks(f, k):
         layout = (_layout if cached else _layout.__wrapped__)(f.domains, k, lo, hi)
         sets, gather, starts, row_set, row_assignment, set_dims = layout
         vals = flat[gather]
@@ -264,26 +297,54 @@ class DominanceWitness:
 
     def recheck(self, f: FunctionTable) -> bool:
         """True iff the witness lists exactly the k-subsets of f's
-        coordinates, each with an in-domain assignment of length k that
+        coordinates, each with an in-domain int assignment of length k that
         forces its token (y_star for a strong witness).
+
+        Reads the table itself, not f's levels: every claimed block is
+        gathered by strides and must hold only the claimed code, and the
+        first subset's block is read again through `forced_value`.
         """
-        if not 0 < self.k <= f.n:
+        k = self.k
+        if not 0 < k <= f.n or len(self.per_subset) != comb(f.n, k):
             return False
-        if set(self.per_subset) != set(itertools.combinations(range(f.n), self.k)):
-            return False
-        for subset, (assignment, tok) in self.per_subset.items():
+        tokens, codes = f._coded
+        flat = codes.ravel()
+        code_of = {(type(t), t): c for c, t in enumerate(tokens)}
+        for lo, hi, cached in _chunks(f, k):
+            blocks = (_blocks if cached else _blocks.__wrapped__)(f.domains, k, lo, hi)
+            sets, dims, strides, offsets, owner = blocks
             try:
-                got = forced_value(f, subset, assignment)
-            except ConfigError:  # wrong length, or a value outside its domain
+                rows = list(map(self.per_subset.__getitem__, sets))
+                # a token outside the range, or not a scalar, has no code
+                claimed = [code_of[type(t), t] for _, t in rows]
+                if self.kind == "strong" and set(claimed) != {
+                        code_of[type(self.y_star), self.y_star]}:
+                    return False
+                if {len(a) for a, _ in rows} != {k}:
+                    return False
+            except (KeyError, TypeError):
                 return False
-            if not _same_token(got, tok):
+            values = [v for a, _ in rows for v in a]
+            if not all(map(_is_int_type, set(map(type, values)))):
                 return False
-            # forced_value's None also means "not constant"
-            if tok is None and _forced_code(f, subset, assignment) is None:
+            try:
+                values = np.array(values, dtype=np.intp)
+            except OverflowError:
                 return False
-            if self.kind == "strong" and not _same_token(tok, self.y_star):
+            if not ((0 <= values) & (values < dims)).all():
                 return False
-        return True
+            start = (values.reshape(-1, k) * strides).sum(axis=1)
+            if not (flat[start[owner] + offsets] == np.array(claimed)[owner]).all():
+                return False
+        first = tuple(range(k))
+        assignment, tok = self.per_subset[first]
+        # a second, independent block reader must agree on the first subset
+        return _same_token(forced_value(f, first, assignment), tok)
+
+
+def _is_int_type(t: type) -> bool:
+    """`is_int` on a value's type."""
+    return issubclass(t, int) and not issubclass(t, bool)
 
 
 def _same_token(a: Token, b: Token) -> bool:

@@ -757,9 +757,13 @@ class NPartyAttack:
         return self.phase1.y_star
 
 
+@lru_cache(maxsize=64)
 def three_party_form(spec: ProtocolSpec, partition: Partition) -> ProtocolSpec:
     """The 3-party protocol the ring attack breaks: `spec` itself when every
-    group is a single party (n = 3), else the fused protocol of the groups."""
+    group is a single party (n = 3), else the fused protocol of the groups.
+
+    Built once per (spec, partition), so every trial of an n >= 4 attack runs
+    phase 1 on the same fused spec and shares its ring (`_ring_network`)."""
     return spec if spec.n == 3 else fuse_parties(spec, partition)
 
 

@@ -14,6 +14,7 @@ from ringbreak.dominance import (
     DominanceWitness,
     FunctionTable,
     NOT_COMPUTABLE,
+    PROFILE_BUDGET,
     and_table,
     classify,
     constant_table,
@@ -110,6 +111,74 @@ def mixed_table(rng):
     hot, p = pool[0], rng.random()
     outputs = tuple(hot if rng.random() < p else rng.choice(pool) for _ in range(size))
     return FunctionTable(n=n, domains=domains, outputs=outputs)
+
+
+def sliced_recheck(table, w):
+    """The recheck as one `forced_value` slice per subset; null outputs are
+    told from varying ones by the full-vector oracle."""
+    if not 0 < w.k <= table.n:
+        return False
+    if set(w.per_subset) != set(itertools.combinations(range(table.n), w.k)):
+        return False
+    for subset, (assignment, tok) in w.per_subset.items():
+        try:
+            got = forced_value(table, subset, assignment)
+        except ConfigError:  # wrong length, or not an in-domain int
+            return False
+        if type(got) is not type(tok) or got != tok:
+            return False
+        if tok is None and oracle_forced_key(table, dict(zip(subset, assignment))) != b"null":
+            return False
+        if w.kind == "strong" and (type(tok) is not type(w.y_star) or tok != w.y_star):
+            return False
+    return True
+
+
+TAMPERS = ("none", "flip_value", "swap_token", "foreign_token", "missing", "extra",
+           "longer", "shorter", "bool_value", "float_value", "strong_token", "strong_y_star")
+
+
+def tamper(rng, table, w, how):
+    """`w` with one defect of kind `how` planted in a random subset."""
+    per = dict(w.per_subset)
+    subset = rng.choice(sorted(per))
+    assignment, tok = per[subset]
+    others = [t for t in table.range_tokens() if token_key(t) != token_key(tok)]
+    if how == "flip_value":
+        i = rng.randrange(len(assignment))
+        d = table.domains[subset[i]]
+        flipped = list(assignment)
+        flipped[i] = (flipped[i] + rng.randrange(1, d)) % d if d > 1 else flipped[i]
+        per[subset] = (tuple(flipped), tok)
+    elif how == "swap_token" and others:
+        per[subset] = (assignment, rng.choice(others))
+    elif how == "foreign_token":
+        per[subset] = (assignment, rng.choice([2, "b", 1.0, [tok], (tok,)]))
+    elif how == "missing":
+        del per[subset]
+    elif how == "extra":
+        per[tuple(reversed(subset)) if w.k > 1 else (table.n,)] = (assignment, tok)
+    elif how == "longer":
+        per[subset] = (assignment + (0,), tok)
+    elif how == "shorter":
+        per[subset] = (assignment[:-1], tok)
+    elif how == "bool_value":
+        per[subset] = (tuple(bool(v) if v < 2 else v for v in assignment), tok)
+    elif how == "float_value":
+        per[subset] = (tuple(map(float, assignment)), tok)
+    elif how == "strong_token" and others:
+        return replace(w, kind="strong", per_subset={**per, subset: (assignment, others[0])})
+    elif how == "strong_y_star" and others:
+        return replace(w, kind="strong", y_star=others[0])
+    return replace(w, per_subset=per)
+
+
+def guessed_witness(rng, table, k):
+    """A witness with random assignments and tokens, mostly false."""
+    tokens = table.range_tokens()
+    return DominanceWitness(k=k, kind="weak", y_star=None, qualifying=(), per_subset={
+        s: (tuple(rng.randrange(table.domains[p]) for p in s), rng.choice(tokens))
+        for s in itertools.combinations(range(table.n), k)})
 
 
 class TestFunctionTable:
@@ -270,6 +339,24 @@ class TestDeciders:
         forced_null = {(0,): ((0,), None), (1,): ((0,), None)}
         assert replace(w, per_subset=forced_null).recheck(
             FunctionTable(n=2, domains=(2, 2), outputs=(None, None, None, 1)))
+
+    @given(st.integers(0, 10_000), st.sampled_from(TAMPERS), st.sampled_from([PROFILE_BUDGET, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_recheck_matches_sliced_recheck(self, seed, how, budget):
+        import random
+        from unittest import mock
+        import ringbreak.dominance as dominance
+
+        rng = random.Random(seed)
+        f = mixed_table(rng)
+        k = rng.randint(1, f.n)
+        real = [w for w in (is_weakly_k_dominated(f, k), is_k_dominated(f, k)) if w]
+        # budget 1: the recheck gathers one set per chunk
+        with mock.patch.object(dominance, "PROFILE_BUDGET", budget):
+            assert all(w.recheck(f) for w in real)
+            for w in real + [guessed_witness(rng, f, k)]:
+                bad = tamper(rng, f, w, how)
+                assert bad.recheck(f) == sliced_recheck(f, bad), (f.to_json(), bad)
 
     def test_chunked_levels_match_unchunked(self, monkeypatch):
         import random

@@ -461,6 +461,16 @@ class TestNPartyAttack:
         with pytest.raises(ConfigError):
             attack_n_party(spec, 2, (4,), 1, variant="strict")
 
+    def test_trials_share_one_fused_ring(self):
+        # every trial of an n >= 4 attack runs phase 1 on one fused spec, so
+        # the ring is built once, not once per trial
+        from ringbreak.cli import run_config
+
+        ring_module._ring_network.cache_clear()
+        run_config("attack", {"protocol": "or_exchange", "n": 9, "t": 3, "trials": 50,
+                              "seed": 1})
+        assert ring_module._ring_network.cache_info().misses <= 2
+
     def test_expected_abort_returns_none_adversary(self):
         spec = make_geom_halt(5, 1e-9)
         atk = attack_n_party(spec, 2, (4,), 1, variant="expected", q_expected=1, z=2)
