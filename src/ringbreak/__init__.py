@@ -46,10 +46,8 @@ from .core import (
     RoundBound,
     SpecViolation,
     TopologyViolation,
-    ValidationReport,
     derive_seed,
     outcome_repr,
-    validate_spec,
 )
 from .dominance import (
     Classification,
@@ -77,14 +75,14 @@ from .dominance import (
 from .netsim import (
     AdversaryStrategy,
     ConsistencyReport,
-    EquivocatorAdversary,
     ExecutionResult,
-    PassiveAdversary,
+    ValidationReport,
     check_consistency,
     estimate_consistency,
     result_fingerprint,
     run_honest,
     run_with_adversary,
+    validate_spec,
 )
 from .ring import (
     AttackAdversary,
@@ -97,16 +95,14 @@ from .ring import (
     attack_n_party,
     attack_ring_size,
     embedding_family,
-    emulate_ring,
     fuse_parties,
-    node_view,
     partition_to_three,
     phase1_expected,
     phase1_strict,
     ring_distance,
 )
 from .stats import proportion_sigma, statistical_distance, wilson_interval
-from .zoo import ZOO, make_spec, tuned_halt_probability
+from .zoo import ZOO, make_spec
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,6 @@ from .core import (
     is_int,
     outcome_repr,
     selector_help,
-    validate_spec,
 )
 from .dominance import (
     BUILTINS,
@@ -44,7 +43,8 @@ from .dominance import (
     make_table,
     verify_weak_implies_strong,
 )
-from .netsim import estimate_consistency, run_with_adversary, shutdown_pool, tally
+from .netsim import (estimate_consistency, run_with_adversary, shutdown_pool, tally,
+                     validate_spec)
 from .reports import make_report, write_csv, write_report
 from .ring import (
     attack_geometry,
@@ -295,6 +295,9 @@ def cmd_compile(cfg: dict, jobs: int = 1):
     cfg["inputs"] = list(inputs)
     if len(inputs) != n:
         raise ConfigError(f"need {n} inputs, got {len(inputs)}")
+    for i, (v, d) in enumerate(zip(inputs, table.domains)):
+        if not is_int(v) or not 0 <= v < d:
+            raise ConfigError(f"input {v!r} of party {i} outside its domain of size {d}")
     corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else list(range(n - t, n))
     cfg["corrupt"] = list(corrupt)
     if any(not 0 <= i < n for i in corrupt):

@@ -30,6 +30,8 @@ from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_str
 from .stats import proportion_sigma, statistical_distance, wilson_interval
 
 UNIFORM_BIT = {"0": 0.5, "1": 0.5, "other": 0.0}
+# offline phase-1 runs that pick the excluded value of a bias verdict
+PILOT_RUNS = 256
 
 
 def _bucket(outcome) -> str:
@@ -221,7 +223,7 @@ def pilot_polarity(spec: ProtocolSpec, runs: int, seed: int) -> tuple[bytes, dic
 def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed: int, *,
                               corrupted: Optional[tuple[int, ...]] = None,
                               delta_trials: Optional[int] = None,
-                              pilot_runs: int = 256, jobs: int = 1) -> BiasVerdict:
+                              jobs: int = 1) -> BiasVerdict:
     """Measure how far the forcing adversary pushes the coin from uniform.
 
     The asserted inequality is distance >= 1/2 - 2^-kappa - (3m/2+1)*delta
@@ -250,7 +252,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
                                        derive_seed(seed, "bias-delta"), jobs=jobs)
     delta_hat = consistency.delta_hat
 
-    excluded, pilot_counts = pilot_polarity(spec, pilot_runs, derive_seed(seed, "bias-pilot"))
+    excluded, pilot_counts = pilot_polarity(spec, PILOT_RUNS, derive_seed(seed, "bias-pilot"))
     attack = bias_attack(spec, corrupted, kappa, derive_seed(seed, "bias-search"),
                          exclude=excluded)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -351,13 +351,6 @@ class JointInput:
                 raise ValueError(f"party {i}: input length {len(e.input)} != declared {want}")
 
     @staticmethod
-    def zeros(spec: ProtocolSpec, label_prefix: bytes = b"p") -> "JointInput":
-        return JointInput(tuple(
-            JointEntry(spec.domains[i].zero(), label_prefix + b"/%d" % i)
-            for i in range(spec.n)
-        ))
-
-    @staticmethod
     def sample(spec: ProtocolSpec, seed: int) -> "JointInput":
         """Inputs uniform over each party's declared domain; labels fixed."""
         src = CoinStream(seed, b"input-sample")
@@ -368,69 +361,3 @@ class JointInput:
                 b"p/%d" % i,
             ))
         return JointInput(tuple(entries))
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of validate_spec: contract violations found over sampled runs."""
-
-    spec_name: str
-    trials: int
-    violations: list[str] = field(default_factory=list)
-    transcript_hash: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationReport:
-    """Probe a protocol against its declared contract.
-
-    Checks, over `trials` honest runs with sampled inputs: the strict round
-    bound (every party finished once round q's messages are consumed), halt
-    absorption (no post-halt sends, no outcome drift), and replay determinism
-    (same seed twice gives identical transcript and outcomes).
-    """
-    from . import netsim  # engine lives one layer up; import here to avoid a cycle
-
-    if trials < 1:
-        raise ConfigError("validate needs at least one trial")
-    report = ValidationReport(spec.name, trials)
-    first_hash = None
-    for trial in range(trials):
-        tseed = derive_seed(seed, "validate", trial)
-        joint = JointInput.sample(spec, tseed)
-        # strict specs get 2 rounds of headroom past the declared bound so the
-        # post-halt probe actually runs; laggards are caught via halt_rounds
-        cap = (spec.q + 2) if spec.round_bound.strict else 64 * spec.q
-        try:
-            res = netsim.run_honest(
-                spec, joint, tseed,
-                max_rounds=cap,
-                record=True, probe_halted=True,
-            )
-        except SpecViolation as e:
-            report.violations.append(f"trial {trial}: {e}")
-            continue
-        report.violations.extend(f"trial {trial}: {v}" for v in res.probe_violations)
-        if spec.round_bound.strict:
-            for i, out in enumerate(res.outcomes):
-                # round q's messages are consumed by step call q+1
-                if out is RUNNING or res.halt_rounds[i] > spec.q + 1:
-                    report.violations.append(
-                        f"trial {trial}: party {i} unfinished at declared round bound {spec.q}"
-                    )
-        if trial == 0:
-            h1 = netsim.result_fingerprint(res)
-            res2 = netsim.run_honest(
-                spec, joint, tseed,
-                max_rounds=cap,
-                record=True, probe_halted=True,
-            )
-            h2 = netsim.result_fingerprint(res2)
-            if h1 != h2:
-                report.violations.append("trial 0: nondeterministic replay (transcript mismatch)")
-            first_hash = h1
-    report.transcript_hash = first_hash or ""
-    return report

@@ -113,9 +113,6 @@ class FunctionTable:
     def value(self, assignment: Sequence[int]) -> Token:
         return self.outputs[self.index(assignment)]
 
-    def range_tokens(self) -> list[Token]:
-        return list(self._coded[0])
-
     def to_json(self) -> str:
         return json.dumps(
             {"n": self.n, "domains": list(self.domains), "outputs": list(self.outputs),
@@ -451,6 +448,8 @@ def verify_weak_implies_strong(f: FunctionTable, m: int) -> CollapseVerdict:
     The collapse provably holds in that range, so a verdict that does not
     hold means the deciders disagree with it and something is broken.
     """
+    if m < 1:
+        raise ConfigError(f"collapse requires m >= 1; got m={m}")
     if 3 * m > f.n:
         raise ConfigError(f"collapse requires m <= n/3; got m={m}, n={f.n}")
     weak = is_weakly_k_dominated(f, m) is not None

@@ -13,7 +13,8 @@ so its sends there are never computed or route-checked.
 
 `tally` is every Monte-Carlo trial loop: it counts the keys a per-trial
 function returns, over `trial_chunks` mapped by `pmap` serially or on one
-reused process pool.
+reused process pool. `validate_spec` probes a protocol's declared contract
+on this engine.
 """
 
 from __future__ import annotations
@@ -134,43 +135,6 @@ class AdversaryStrategy:
     def step(self, state: Any, round_no: int,
              inbound: dict[tuple[int, int], bytes]) -> tuple[Any, dict[tuple[int, int], bytes]]:
         return state, {}
-
-
-class PassiveAdversary(AdversaryStrategy):
-    """Corrupted parties follow the protocol exactly; adversary only watches."""
-
-    def __init__(self, spec: ProtocolSpec, corrupted: frozenset[int]):
-        self.spec = spec
-        self.corrupted = frozenset(corrupted)
-
-    def init(self, ctx: AdversaryContext):
-        return {i: self.spec.programs[i].init(ctx.entries[i].input, ctx.entries[i].coins(ctx.seed))
-                for i in sorted(self.corrupted)}
-
-    def step(self, states, round_no, inbound):
-        programs = self.spec.programs
-        live = [i for i in states if programs[i].finished(states[i]) is None]
-        inboxes = deliver((src, dst, payload) for (src, dst), payload in inbound.items())
-        sends = step_parties(programs, states, live, round_no, inboxes)
-        return states, {(src, dst): payload for src, dst, payload in sends}
-
-
-class EquivocatorAdversary(AdversaryStrategy):
-    """Round-1 equivocation: tells the lowest honest party 0 and the rest 1."""
-
-    def __init__(self, corrupted_party: int, n: int):
-        self.corrupted = frozenset([corrupted_party])
-        self.n = n
-
-    def step(self, state, round_no, inbound):
-        if round_no != 1:
-            return state, {}
-        c = min(self.corrupted)
-        honest = [i for i in range(self.n) if i != c]
-        out = {}
-        for rank, i in enumerate(sorted(honest)):
-            out[(c, i)] = bytes([0 if rank == 0 else 1])
-        return state, out
 
 
 def _route_check(n: int, src: int, dst: int, payload: bytes) -> None:
@@ -485,3 +449,67 @@ def result_fingerprint(result: ExecutionResult) -> str:
         for rec in result.transcript:
             h.update(b"#%d:%d>%d:" % rec[:3] + rec[3])
     return h.hexdigest()
+
+
+@dataclass
+class ValidationReport:
+    """Outcome of validate_spec: contract violations found over sampled runs."""
+
+    spec_name: str
+    trials: int
+    violations: list[str] = field(default_factory=list)
+    transcript_hash: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationReport:
+    """Probe a protocol against its declared contract.
+
+    Checks, over `trials` honest runs with sampled inputs: the strict round
+    bound (every party finished once round q's messages are consumed), halt
+    absorption (no post-halt sends, no outcome drift), and replay determinism
+    (same seed twice gives identical transcript and outcomes).
+    """
+    if trials < 1:
+        raise ConfigError("validate needs at least one trial")
+    report = ValidationReport(spec.name, trials)
+    first_hash = None
+    for trial in range(trials):
+        tseed = derive_seed(seed, "validate", trial)
+        joint = JointInput.sample(spec, tseed)
+        # strict specs get 2 rounds of headroom past the declared bound so the
+        # post-halt probe actually runs; laggards are caught via halt_rounds
+        cap = (spec.q + 2) if spec.round_bound.strict else 64 * spec.q
+        try:
+            res = run_honest(
+                spec, joint, tseed,
+                max_rounds=cap,
+                record=True, probe_halted=True,
+            )
+        except SpecViolation as e:
+            report.violations.append(f"trial {trial}: {e}")
+            continue
+        report.violations.extend(f"trial {trial}: {v}" for v in res.probe_violations)
+        if spec.round_bound.strict:
+            for i, out in enumerate(res.outcomes):
+                # round q's messages are consumed by step call q+1
+                if out is RUNNING or res.halt_rounds[i] > spec.q + 1:
+                    report.violations.append(
+                        f"trial {trial}: party {i} unfinished at declared round bound {spec.q}"
+                    )
+        if trial == 0:
+            h1 = result_fingerprint(res)
+            res2 = run_honest(
+                spec, joint, tseed,
+                max_rounds=cap,
+                record=True, probe_halted=True,
+            )
+            h2 = result_fingerprint(res2)
+            if h1 != h2:
+                report.violations.append("trial 0: nondeterministic replay (transcript mismatch)")
+            first_hash = h1
+    report.transcript_hash = first_hash or ""
+    return report

@@ -10,6 +10,8 @@ observed, lets a slot at distance d from them run d steps behind, and never
 runs a step that cannot reach an observed slot before the run ends. The one
 bridge below (`RingBridge`) drops real honest parties into adjacent slots and
 simulates the remaining ring, observing the slots next to the real parties.
+The full-ring run that steps every slot (`emulate_ring`) is the tests'
+reference for this simulator and lives in tests/support.py.
 The consistency probe and the attack are that bridge over two rings: the
 probe bridges into a freshly sampled ring, the attack into the offline phase-1
 ring, whose far slot P* (the one slot phase 1 observes) has its output
@@ -40,21 +42,15 @@ from .core import (
     SpecViolation,
     TopologyViolation,
     derive_seed,
-    outcome_repr,
 )
 from .netsim import (
     AdversaryContext,
     AdversaryStrategy,
-    ExecutionResult,
     Send,
     _route_check,
     deliver,
     step_parties,
 )
-from .netsim import run_honest as run_engine_honest
-
-# Ring slots the real honest parties can occupy, over all corruption choices.
-HONEST_WINDOW = (0, 1, 2, 3)
 
 
 def ring_distance(size: int, u: int, v: int) -> int:
@@ -126,63 +122,29 @@ class RingNetwork:
     def size(self) -> int:
         return 3 * self.m
 
-    def role_of(self, slot: int) -> int:
-        return slot % 3
-
-    def copy_of(self, slot: int) -> int:
-        return slot // 3 + 1
-
     def slot_of(self, role: int, copy: int) -> int:
         return 3 * (copy - 1) + role
 
-    def distance(self, u: int, v: int) -> int:
-        return ring_distance(self.size, u, v)
-
     @cached_property
-    def _slot_programs(self) -> tuple[RingSlotProgram, ...]:
+    def slot_programs(self) -> tuple[RingSlotProgram, ...]:
+        """Each slot's role program, wrapped once per ring."""
         return tuple(RingSlotProgram(self.spec3.programs[s % 3], s, self.size)
                      for s in range(self.size))
 
     @cached_property
-    def _zeros_w(self) -> JointInput:
+    def zeros_w(self) -> JointInput:
+        """The all-zero ring input, built once per ring."""
         return JointInput(tuple(
             JointEntry(self.spec3.domains[s % 3].zero(), b"ring/%d" % s)
             for s in range(self.size)
         ))
 
-    def slot_program(self, slot: int, base: Optional[PartyProgram] = None) -> RingSlotProgram:
-        """The slot's role program, wrapped once per ring, or `base` wrapped for the slot."""
-        if base is None:
-            return self._slot_programs[slot]
-        return RingSlotProgram(base, slot, self.size)
-
-    def engine_spec(self, overrides: Optional[dict[int, PartyProgram]] = None) -> ProtocolSpec:
-        """ProtocolSpec over all slots, optionally with replaced slot programs."""
-        overrides = overrides or {}
-        programs = tuple(
-            self.slot_program(s, overrides.get(s)) for s in range(self.size)
-        )
-        domains = tuple(self.spec3.domains[s % 3] for s in range(self.size))
-        return ProtocolSpec(
-            name=f"ring({self.spec3.name},m={self.m})",
-            programs=programs,
-            round_bound=self.spec3.round_bound,
-            domains=domains,
-        )
-
-    def zeros_w(self) -> JointInput:
-        """The all-zero ring input, built once per ring."""
-        return self._zeros_w
-
-    def sample_w(self, seed: int, label_prefix: bytes = b"ring") -> JointInput:
-        w = SampledRingInput(self, seed, label_prefix)
-        return JointInput(tuple(w[s] for s in range(self.size)))
-
 
 class SampledRingInput:
-    """`RingNetwork.sample_w` drawn slot by slot: w[s] reads its input at
+    """A sampled ring input drawn slot by slot: w[s] reads its input at
     offset 128*s of one coin stream, so a slot that is never read is never
-    drawn, and every slot that is gets the same bytes."""
+    drawn, and every slot that is gets the same bytes as an eager draw of
+    the whole ring (`sample_w` in tests/support.py)."""
 
     def __init__(self, ring: RingNetwork, seed: int, label_prefix: bytes):
         self.domains = ring.spec3.domains
@@ -199,33 +161,6 @@ def _ring_network(spec3: ProtocolSpec, m: int) -> RingNetwork:
     """The ring of m copies of spec3, built once per (spec3, m), so repeated
     phase-1 runs and probes share its slot programs and zero input."""
     return RingNetwork(spec3, m)
-
-
-def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *,
-                 record: bool = False,
-                 overrides: Optional[dict[int, PartyProgram]] = None) -> ExecutionResult:
-    """Honest lockstep run of the ring, cut off after rounds_cap rounds.
-
-    Slots that have not produced an Outcome by the cap are reported RUNNING;
-    passing the cap leaves the declared round bound unenforced, because rings
-    are the attack surface, not the protocol under test. Each slot reaches
-    only its two ring neighbours: `RingSlotProgram` refuses any other edge.
-    Every slot is stepped; this is the full-ring reference that the light
-    cones `VirtualRing` runs are checked against.
-    """
-    return run_engine_honest(ring.engine_spec(overrides), w, seed, max_rounds=rounds_cap,
-                             record=record)
-
-
-def node_view(result: ExecutionResult, node: int) -> bytes:
-    """Canonical bytes of a node's local traffic (the transcript records
-    incident to it) plus its outcome."""
-    if result.transcript is None:
-        raise ValueError("run was not recorded")
-    lines = [b"%d|%d|%d|" % rec[:3] + rec[3].hex().encode()
-             for rec in result.transcript if rec[1] == node or rec[2] == node]
-    lines.append(b"out|" + outcome_repr(result.outcomes[node]).encode())
-    return b"\n".join(lines)
 
 
 def _best_far_slot(size: int) -> tuple[int, int]:
@@ -289,7 +224,8 @@ def run_honest(ring: RingNetwork, w: JointInput, seed: int, rounds_cap: int,
     """One slot's outcome and halt round in the honest ring run cut off after
     rounds_cap rounds, computed from that slot's light cone alone.
 
-    Matches `emulate_ring(ring, w, rounds_cap, seed)` at the slot: steps
+    Matches the full-ring reference run (`emulate_ring` in tests/support.py,
+    which steps every slot) at the slot: steps
     1..rounds_cap+1 run, the last being the flush step whose sends are
     dropped; a halt at step r is recorded as min(r, rounds_cap), a halt at
     init as 0, and no halt as (RUNNING, None).
@@ -309,7 +245,7 @@ def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> Att
     after m rounds; the first in which P* halts fixes y*."""
     m, pstar, dist = attack_geometry(q, variant)
     ring = _ring_network(spec3, m)
-    w = ring.zeros_w()
+    w = ring.zeros_w
     for it in range(1, z + 1):
         exec_seed = derive_seed(seed, "phase1", it)
         y, halt_round = run_honest(ring, w, exec_seed, m, pstar)
@@ -429,7 +365,7 @@ class VirtualRing:
         w, seed = self.w, self.seed
         for s in self.layers[lag]:
             entry = w[s]
-            prog = self.programs[s] = self.ring.slot_program(s)
+            prog = self.programs[s] = self.ring.slot_programs[s]
             state = self.states[s] = prog.init(entry.input, entry.coins(seed))
             if prog.finished(state) is None:
                 self.live[lag].append(s)

@@ -179,62 +179,6 @@ class GeomHaltProgram(PartyProgram):
         return b"\x00" if state[0] == "done" else None
 
 
-class ByteSpewerProgram(PartyProgram):
-    """Chatter mutant for locality experiments: random bytes every round, never halts."""
-
-    role_id = "spew"
-    WIDTH = 24
-
-    def __init__(self, n: int, me: int):
-        self.n = n
-        self.me = me
-
-    def init(self, input_bytes, coins):
-        return (coins, 0)
-
-    def step(self, state, round_no, inbox):
-        coins, k = state
-        sends = {}
-        for j in range(self.n):
-            if j != self.me:
-                sends[j] = coins.read(self.WIDTH * (k * self.n + j), self.WIDTH)
-        return (coins, k + 1), sends
-
-    def finished(self, state):
-        return None
-
-
-class CoinFlashProgram(PartyProgram):
-    """Outputs its own first coin bit after one silent round (test vehicle)."""
-
-    role_id = "coinflash"
-
-    def __init__(self, n: int, me: int):
-        self.n = n
-        self.me = me
-
-    def init(self, input_bytes, coins):
-        return ("init", coins.bit(0))
-
-    def step(self, state, round_no, inbox):
-        if state[0] == "init":
-            return ("done", state[1]), {}
-        return state, {}
-
-    def finished(self, state):
-        return bytes([state[1]]) if state[0] == "done" else None
-
-
-def tuned_halt_probability(calls: int) -> float:
-    """p with Pr[halted after `calls` step calls] = 1/2 for the geometric halter.
-
-    Careful with the off-by-one: a run capped at R rounds gives each party
-    R+1 step calls (the last one is the terminal delivery call), so a cap-R
-    experiment wants tuned_halt_probability(R + 1).
-    """
-    return 1.0 - 2.0 ** (-1.0 / calls)
-
-
 def _uniform(name: str, n: int, program: Callable[[int], PartyProgram],
              bound: RoundBound, domain: InputDomain) -> ProtocolSpec:
     """n parties, party i running program(i), all with one input domain."""
@@ -274,11 +218,6 @@ def make_geom_halt(n: int, p: float) -> ProtocolSpec:
         raise ValueError("halt probability must be in (0, 1]")
     return _uniform(f"geom_halt:{p:g}", n, lambda i: GeomHaltProgram(n, i, p),
                     RoundBound("expected", max(1, math.ceil(1.0 / p))), RawInput(INPUT_BYTES))
-
-
-def make_coin_flash(n: int) -> ProtocolSpec:
-    return _uniform("coin_flash", n, lambda i: CoinFlashProgram(n, i),
-                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
 
 
 # const: everyone outputs the byte c; xor_exchange / or_exchange: one pairwise

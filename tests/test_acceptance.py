@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import ACCEPTANCE_LINES
+from support import ByteSpewerProgram, emulate_ring, node_view, sample_w, tuned_halt_probability
 
 from ringbreak.cli import main
 from ringbreak.coinflip import bias_attack, verify_no_nontrivial_bias
@@ -42,14 +43,12 @@ from ringbreak.ring import (
     attack_n_party,
     attack_ring_size,
     embedding_family,
-    emulate_ring,
-    node_view,
     phase1_expected,
     ring_distance,
 )
 from ringbreak.netsim import estimate_consistency
 from ringbreak.stats import proportion_sigma
-from ringbreak.zoo import ByteSpewerProgram, make_spec, tuned_halt_probability
+from ringbreak.zoo import make_spec
 
 
 def record(idx: int, name: str, ok: bool, detail: str, t0: float):
@@ -73,7 +72,7 @@ def test_c01_ring_locality_is_exact():
     identical = 0
     perturbed = 0
     for i in range(100):
-        w = ring.sample_w(derive_seed(101, "locality-w", i))
+        w = sample_w(ring, derive_seed(101, "locality-w", i))
         ex = derive_seed(101, "locality-x", i)
         base = emulate_ring(ring, w, rounds_cap=spec.q, seed=ex, record=True)
         assert base.outcomes[pstar] is not RUNNING

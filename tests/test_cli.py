@@ -362,6 +362,22 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["compile", "--builtin", "thresh:3:9", "--t", "3", "--inputs", "0,0,0,0,0,0,0,0,5"],
+     "input 5 of party 8 outside its domain of size 2"),
+    (["compile", "--builtin", "thresh:3:9", "--t", "3", "--inputs", "0,-1,0,0,0,0,0,0,0"],
+     "input -1 of party 1 outside its domain of size 2"),
+    (["dominance", "--builtin", "xor:3", "--collapse-m", "0"], "m >= 1; got m=0"),
+    (["dominance", "--builtin", "xor:3", "--collapse-m", "-1"], "m >= 1; got m=-1"),
+], ids=["compile-corrupted-input-out-of-domain", "compile-honest-input-negative",
+        "dominance-collapse-m-zero", "dominance-collapse-m-negative"])
+def test_usage_error_names_the_bad_value(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["dominance", "--builtin", "or:5", "--budget", "16"],
     ["compile", "--builtin", "or:5", "--t", "1"],

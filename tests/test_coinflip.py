@@ -177,8 +177,7 @@ class TestVerdict:
 
     def test_fair_coin_verdict_shape(self):
         v = verify_no_nontrivial_bias(make_spec("fair_coin", 3), kappa=6,
-                                      trials=1000, seed=3, delta_trials=100,
-                                      pilot_runs=64)
+                                      trials=1000, seed=3, delta_trials=100)
         d = asdict(v)
         for key in ("spec", "kappa", "m", "delta_hat", "bound", "holds",
                     "inconclusive", "pilot_counts", "attempts"):

@@ -21,9 +21,10 @@ from ringbreak.core import (
     RoundBound,
     derive_seed,
     outcome_repr,
-    validate_spec,
 )
+from ringbreak.netsim import validate_spec
 from ringbreak.zoo import make_spec, make_xor_exchange
+from support import zeros
 
 
 class TestCoinStream:
@@ -169,7 +170,7 @@ class TestDomains:
 class TestJointInput:
     def test_zeros_and_sample_shapes(self):
         spec = make_xor_exchange(3)
-        z = JointInput.zeros(spec)
+        z = zeros(spec)
         assert len(z) == 3
         assert all(z[i].input == spec.domains[i].zero() for i in range(3))
         assert z[1].coin_label == b"p/1"
@@ -184,7 +185,7 @@ class TestJointInput:
 
     def test_validate_rejects_wrong_length(self):
         spec = make_xor_exchange(3)
-        bad = JointInput((JointEntry(b"\x00\x00", b"p/0"),) + JointInput.zeros(spec).entries[1:])
+        bad = JointInput((JointEntry(b"\x00\x00", b"p/0"),) + zeros(spec).entries[1:])
         with pytest.raises(ValueError):
             bad.validate(spec)
 

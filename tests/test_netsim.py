@@ -23,8 +23,6 @@ from ringbreak.core import (
 from ringbreak.netsim import (
     MESSAGE_CAP,
     AdversaryStrategy,
-    EquivocatorAdversary,
-    PassiveAdversary,
     check_consistency,
     estimate_consistency,
     result_fingerprint,
@@ -35,6 +33,7 @@ from ringbreak.netsim import (
 )
 from ringbreak.ring import embedding_family
 from ringbreak.zoo import make_const, make_echo_xor, make_spec, make_xor_exchange
+from support import EquivocatorAdversary, PassiveAdversary, zeros
 
 
 def bits_joint(spec, bits):
@@ -55,7 +54,7 @@ def test_engine_options_are_pinned():
 
 class TestDeliveryTiming:
     def test_const_finishes_on_first_call(self):
-        res = run_honest(make_const(3, 7), JointInput.zeros(make_const(3, 7)), 1)
+        res = run_honest(make_const(3, 7), zeros(make_const(3, 7)), 1)
         assert res.outcomes == [b"\x07"] * 3
         assert res.halt_rounds == [1, 1, 1]
 
@@ -154,18 +153,18 @@ class TestStrictEnforcement:
     def test_violation_raises(self):
         spec = self._spec(declared_q=1, actual_calls=4)
         with pytest.raises(SpecViolation):
-            run_honest(spec, JointInput.zeros(spec), 1)
+            run_honest(spec, zeros(spec), 1)
 
     def test_exactly_on_time_is_fine(self):
         # q=1 allows finishing on call 2 (the call that consumes round 1)
         spec = self._spec(declared_q=1, actual_calls=2)
-        res = run_honest(spec, JointInput.zeros(spec), 1)
+        res = run_honest(spec, zeros(spec), 1)
         assert res.outcomes == [b"\x00"] * 2
 
     def test_enforcement_can_be_disabled(self):
         # a caller-set round cap replaces the declared bound
         spec = self._spec(declared_q=1, actual_calls=4)
-        res = run_honest(spec, JointInput.zeros(spec), 1, max_rounds=4)
+        res = run_honest(spec, zeros(spec), 1, max_rounds=4)
         assert res.outcomes == [b"\x00"] * 2
 
 
@@ -184,15 +183,15 @@ class TestTopology:
 
     def test_message_cap_enforced(self):
         spec = one_shot_spec(bytes(MESSAGE_CAP))
-        assert run_honest(spec, JointInput.zeros(spec), 1).outcomes == [b"\x00"] * 2
+        assert run_honest(spec, zeros(spec), 1).outcomes == [b"\x00"] * 2
         spec = one_shot_spec(bytes(MESSAGE_CAP + 1))
         with pytest.raises(SpecViolation, match="byte cap"):
-            run_honest(spec, JointInput.zeros(spec), 1)
+            run_honest(spec, zeros(spec), 1)
 
     def test_non_bytes_payload_is_a_spec_violation(self):
         spec = one_shot_spec(7)
         with pytest.raises(SpecViolation, match="not bytes"):
-            run_honest(spec, JointInput.zeros(spec), 1)
+            run_honest(spec, zeros(spec), 1)
 
 
 class RoundRecorder(AdversaryStrategy):
@@ -269,7 +268,7 @@ class TestAdversaryPlumbing:
         spec = ProtocolSpec("stall", tuple(_Laggard(10**9) for _ in range(3)),
                             RoundBound("expected", 1), tuple(RawInput(1) for _ in range(3)))
         recorder = RoundRecorder()
-        res = run_with_adversary(spec, recorder, JointInput.zeros(spec), 1)
+        res = run_with_adversary(spec, recorder, zeros(spec), 1)
         assert res.rounds == 64
         assert res.honest_outcomes() == [RUNNING, RUNNING]
         assert recorder.rounds == list(range(1, 65))
@@ -301,7 +300,7 @@ class TestAdversaryPlumbing:
                 return b"\x42"
 
         spec = make_const(3, 0)
-        res = run_with_adversary(spec, Announcer(), JointInput.zeros(spec), 1)
+        res = run_with_adversary(spec, Announcer(), zeros(spec), 1)
         assert res.pre_announced == b"\x42"
         assert res.outcomes[2] is None  # corrupted party has no honest outcome
 

@@ -21,7 +21,6 @@ from ringbreak.core import (
 from ringbreak.netsim import MESSAGE_CAP, deliver, run_honest, run_with_adversary, step_parties
 from ringbreak.ring import (
     AttackAdversary,
-    HONEST_WINDOW,
     NeighborEmbeddingAdversary,
     RingNetwork,
     RingSlotProgram,
@@ -35,23 +34,28 @@ from ringbreak.ring import (
     attack_n_party,
     attack_ring_size,
     embedding_family,
-    emulate_ring,
     fuse_parties,
     honest_slot_map,
-    node_view,
     partition_to_three,
     phase1_expected,
     phase1_strict,
     ring_distance,
 )
 from ringbreak.zoo import (
-    ByteSpewerProgram,
-    make_coin_flash,
     make_echo_xor,
     make_geom_halt,
     make_spec,
     make_xor_exchange,
+)
+from support import (
+    HONEST_WINDOW,
+    ByteSpewerProgram,
+    emulate_ring,
+    make_coin_flash,
+    node_view,
+    sample_w,
     tuned_halt_probability,
+    zeros,
 )
 
 
@@ -85,8 +89,8 @@ class TestGeometry:
     def test_slot_layout_m2(self):
         ring = RingNetwork(make_xor_exchange(3), 2)
         assert ring.size == 6
-        assert [ring.role_of(s) for s in range(6)] == [0, 1, 2, 0, 1, 2]
-        assert [ring.copy_of(s) for s in range(6)] == [1, 1, 1, 2, 2, 2]
+        assert [s % 3 for s in range(6)] == [0, 1, 2, 0, 1, 2]
+        assert [s // 3 + 1 for s in range(6)] == [1, 1, 1, 2, 2, 2]
         assert ring.slot_of(2, 1) == 2 and ring.slot_of(0, 2) == 3
 
     def test_ring_distance(self):
@@ -98,8 +102,8 @@ class TestGeometry:
         # copies of the same role sit 3 hops per copy apart, shorter way round wins
         ring = RingNetwork(make_xor_exchange(3), 10)
         a1 = ring.slot_of(0, 1)
-        assert ring.distance(a1, ring.slot_of(0, 6)) == 15
-        assert ring.distance(a1, ring.slot_of(0, 5)) == 12
+        assert ring_distance(ring.size, a1, ring.slot_of(0, 6)) == 15
+        assert ring_distance(ring.size, a1, ring.slot_of(0, 5)) == 12
 
     def test_best_far_slot_small_rings(self):
         # size 12: slots {7} at distance 4 from the window {0,1,2,3}
@@ -148,14 +152,14 @@ class TestRingEmulation:
     def test_cap_leaves_far_slots_running(self):
         spec = make_echo_xor(3, 2)
         ring = RingNetwork(spec, 4)
-        res = emulate_ring(ring, ring.zeros_w(), rounds_cap=1, seed=1)
+        res = emulate_ring(ring, ring.zeros_w, rounds_cap=1, seed=1)
         assert all(o is RUNNING for o in res.outcomes)
 
     def test_locality_mutation_beyond_horizon_is_invisible(self):
         # a run capped at r rounds cannot see changes farther than r hops away
         spec = make_echo_xor(3, 2)
         ring = RingNetwork(spec, 4)
-        w = ring.zeros_w()
+        w = ring.zeros_w
         cap = 3
         probe, far = 0, 6  # distance 6 > cap
         base = emulate_ring(ring, w, cap, seed=9, record=True)
@@ -167,7 +171,7 @@ class TestRingEmulation:
     def test_locality_mutation_within_horizon_is_visible(self):
         spec = make_echo_xor(3, 2)
         ring = RingNetwork(spec, 4)
-        w = ring.zeros_w()
+        w = ring.zeros_w
         near = 1  # adjacent to the probe, well inside the horizon
         base = emulate_ring(ring, w, 3, seed=9, record=True)
         mutant = emulate_ring(ring, w, 3, seed=9, record=True,
@@ -231,9 +235,9 @@ class TestHonestSlotMap:
 class TestEmbedding:
     def test_sampled_ring_input_draws_the_sample_w_bytes(self):
         ring = RingNetwork(make_echo_xor(3, 2), 5)
-        w = SampledRingInput(ring, 31, b"emb")
+        w = SampledRingInput(ring, 31, b"ring")
         assert [w[s] for s in reversed(range(ring.size))] == \
-            list(reversed(ring.sample_w(31, b"emb").entries))
+            list(reversed(sample_w(ring, 31).entries))
 
     def test_probe_draws_only_the_slots_it_starts(self, monkeypatch):
         spec = make_xor_exchange(3)
@@ -259,7 +263,7 @@ class TestEmbedding:
         spec = make_echo_xor(3, 2)
         m, j = 4, 2
         ring = RingNetwork(spec, m)
-        w = ring.sample_w(77)
+        w = sample_w(ring, 77)
         seed = 909
         full = emulate_ring(ring, w, rounds_cap=4 * spec.q, seed=seed, record=True)
 
@@ -319,7 +323,7 @@ class TestAttackThreeParty:
         p1 = phase1_strict(spec, 42)
         for corrupted in ({0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}):
             adv = AttackAdversary(p1, frozenset(corrupted))
-            res = run_with_adversary(spec, adv, JointInput.zeros(spec),
+            res = run_with_adversary(spec, adv, zeros(spec),
                                      derive_seed(1, *sorted(corrupted)))
             assert res.pre_announced == p1.y_star, corrupted
             for o in res.honest_outcomes():
@@ -337,7 +341,7 @@ class TestAttackThreeParty:
         assert not p1.aborted
         assert p1.pstar_halt_round <= p1.m
         adv = AttackAdversary(p1, frozenset({2}))
-        res = run_with_adversary(spec, adv, JointInput.zeros(spec), 14)
+        res = run_with_adversary(spec, adv, zeros(spec), 14)
         assert res.honest_outcomes() == [b"\x00", b"\x00"]
         # the simulated far slot never ran past the cap that phase 1 certified
         assert adv.virtual_round_cap is not None
@@ -412,8 +416,8 @@ class TestFusion:
         spec = make_echo_xor(6, 2)
         part = partition_to_three(6, 2, (4, 5))
         fused = fuse_parties(spec, part)
-        res = run_honest(fused, JointInput.zeros(fused, b"g"), 4)
-        plain = run_honest(spec, JointInput.zeros(spec), 4)
+        res = run_honest(fused, zeros(fused), 4)
+        plain = run_honest(spec, zeros(spec), 4)
         assert res.halt_rounds == [plain.halt_rounds[0]] * 3
         assert res.outcomes == [plain.outcomes[0]] * 3
 
@@ -423,7 +427,7 @@ class TestNPartyAttack:
         spec = make_spec("const:3", 9)
         atk = attack_n_party(spec, 3, (6, 7, 8), 5)
         assert atk.y_star == b"\x03"
-        res = run_with_adversary(spec, atk.adversary, JointInput.zeros(spec), 17)
+        res = run_with_adversary(spec, atk.adversary, zeros(spec), 17)
         assert res.pre_announced == b"\x03"
         assert res.honest_outcomes() == [b"\x03"] * 6
 
@@ -440,7 +444,7 @@ class TestNPartyAttack:
         spec = make_spec("const:1", 6)
         atk = attack_n_party(spec, 3, (5,), 2)
         assert atk.partition.groups == ((0, 1, 2), (3, 4), (5,))
-        res = run_with_adversary(spec, atk.adversary, JointInput.zeros(spec), 11)
+        res = run_with_adversary(spec, atk.adversary, zeros(spec), 11)
         assert res.honest_outcomes() == [b"\x01"] * 5
 
     def test_three_parties_attacked_as_they_are(self):
@@ -484,7 +488,7 @@ class FullVirtualRing:
     def __init__(self, ring, entries, seed, external, round_cap=None):
         self.external = external
         self.round_cap = round_cap
-        self.programs = {s: ring.slot_program(s) for s in range(ring.size) if s not in external}
+        self.programs = {s: ring.slot_programs[s] for s in range(ring.size) if s not in external}
         self.states = {s: p.init(entries[s].input, entries[s].coins(seed))
                        for s, p in self.programs.items()}
         self.live = [s for s, p in self.programs.items() if p.finished(self.states[s]) is None]
@@ -505,7 +509,7 @@ def full_ring_phase1(spec3, variant, q, z, seed):
     """Phase 1 over `emulate_ring`, stepping every slot of the engine ring."""
     m, pstar, _ = attack_geometry(q, variant)
     ring = RingNetwork(spec3, m)
-    w = ring.zeros_w()
+    w = ring.zeros_w
     for it in range(1, z + 1):
         res = emulate_ring(ring, w, rounds_cap=m, seed=derive_seed(seed, "phase1", it))
         if res.outcomes[pstar] is not RUNNING:
@@ -739,7 +743,7 @@ class TestLightCone:
                                               for i in range(3)),
                             RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
         ring = RingNetwork(spec, 4)
-        vring = VirtualRing(ring, ring.zeros_w(), 1, {3: 0, 4: 1})
+        vring = VirtualRing(ring, ring.zeros_w, 1, {3: 0, 4: 1})
         assert vring.step(1, ()) == []
         with pytest.raises(SpecViolation, match="message 1->0 exceeds"):
             vring.step(2, ())

@@ -6,16 +6,15 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringbreak.core import ConfigError, JointEntry, JointInput, derive_seed, validate_spec
-from ringbreak.netsim import run_honest
+from ringbreak.core import ConfigError, JointEntry, JointInput, derive_seed
+from ringbreak.netsim import run_honest, validate_spec
 from ringbreak.zoo import (
     ZOO,
-    make_coin_flash,
     make_echo_xor,
     make_geom_halt,
     make_spec,
-    tuned_halt_probability,
 )
+from support import make_coin_flash, tuned_halt_probability, zeros
 
 
 def bits_joint(spec, bits):
@@ -83,8 +82,8 @@ class TestEchoXor:
 class TestFairCoin:
     def test_deterministic_per_seed(self):
         spec = make_spec("fair_coin", 3)
-        a = run_honest(spec, JointInput.zeros(spec), 11)
-        b = run_honest(spec, JointInput.zeros(spec), 11)
+        a = run_honest(spec, zeros(spec), 11)
+        b = run_honest(spec, zeros(spec), 11)
         assert a.outcomes == b.outcomes
         assert a.outcomes[0] in (b"\x00", b"\x01")
 
@@ -92,7 +91,7 @@ class TestFairCoin:
         spec = make_spec("fair_coin", 3)
         ones = 0
         for i in range(400):
-            res = run_honest(spec, JointInput.zeros(spec), derive_seed(1, "coin", i))
+            res = run_honest(spec, zeros(spec), derive_seed(1, "coin", i))
             assert len(set(res.outcomes)) == 1
             ones += res.outcomes[0][0]
         assert 140 < ones < 260
@@ -106,7 +105,7 @@ class TestGeomHalt:
         n_runs = 600
         halted_by_3 = 0
         for i in range(n_runs):
-            res = run_honest(spec, JointInput.zeros(spec), derive_seed(2, "geom", i),
+            res = run_honest(spec, zeros(spec), derive_seed(2, "geom", i),
                              max_rounds=2)
             # cap 2 send rounds = 3 step calls (third is the flush call)
             if res.outcomes[0] == b"\x00":
@@ -131,7 +130,7 @@ class TestGeomHalt:
 class TestCoinFlash:
     def test_outputs_own_first_coin_bit(self):
         spec = make_coin_flash(3)
-        joint = JointInput.zeros(spec)
+        joint = zeros(spec)
         res = run_honest(spec, joint, 5)
         for i in range(3):
             assert res.outcomes[i] == bytes([joint[i].coins(5).bit(0)])
