@@ -203,19 +203,25 @@ class BiasVerdict:
     inconclusive: bool
 
 
-def pilot_polarity(spec: ProtocolSpec, runs: int, seed: int) -> tuple[bytes, dict[str, int]]:
+def _pilot_trial(ctx: tuple, i: int) -> tuple:
+    """(bucket of pilot run i's pre-committed value,); a non-bit value raises."""
+    spec, seed = ctx
+    y = phase1_strict(spec, derive_seed(seed, "pilot", i)).y_star
+    if y not in (b"\x00", b"\x01"):
+        raise ConfigError(f"{spec.name} is not bit-valued; saw {y!r}")
+    return (_bucket(y),)
+
+
+def pilot_polarity(spec: ProtocolSpec, runs: int, seed: int, *,
+                   jobs: int = 1) -> tuple[bytes, dict[str, int]]:
     """Estimate which value the offline phase favors; exclude the minority.
 
     Ties exclude 0, matching the convention that the attack forces a nonzero
-    value when there is nothing to choose between.
+    value when there is nothing to choose between. The counts, and the error
+    a non-bit value raises (the first run's), do not depend on `jobs`.
     """
-    counts = {"0": 0, "1": 0}
-    for i in range(runs):
-        p1 = phase1_strict(spec, derive_seed(seed, "pilot", i))
-        y = p1.y_star
-        if y not in (b"\x00", b"\x01"):
-            raise ConfigError(f"{spec.name} is not bit-valued; saw {y!r}")
-        counts[_bucket(y)] += 1
+    seen = tally(_pilot_trial, (spec, seed), runs, jobs)
+    counts = {b: seen[b] for b in ("0", "1")}
     excluded = b"\x00" if counts["0"] <= counts["1"] else b"\x01"
     return excluded, counts
 
@@ -229,8 +235,8 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     The asserted inequality is distance >= 1/2 - 2^-kappa - (3m/2+1)*delta
     - 3*sigma, with delta measured under the embedding family (the exact
     family the consistency argument consumes) and sigma the standard error
-    of the forced-bucket frequency. `jobs` workers share the delta estimate
-    and the forced measurement; the verdict does not depend on it.
+    of the forced-bucket frequency. `jobs` workers share the delta estimate,
+    the pilot and the forced measurement; the verdict does not depend on it.
     """
     if not spec.round_bound.strict:
         raise ConfigError("strict attack needs a strict-round protocol")
@@ -252,7 +258,8 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
                                        derive_seed(seed, "bias-delta"), jobs=jobs)
     delta_hat = consistency.delta_hat
 
-    excluded, pilot_counts = pilot_polarity(spec, PILOT_RUNS, derive_seed(seed, "bias-pilot"))
+    excluded, pilot_counts = pilot_polarity(spec, PILOT_RUNS, derive_seed(seed, "bias-pilot"),
+                                            jobs=jobs)
     attack = bias_attack(spec, corrupted, kappa, derive_seed(seed, "bias-search"),
                          exclude=excluded)
 

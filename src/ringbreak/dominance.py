@@ -19,18 +19,19 @@ all-equal or not. Both deciders, at every k, read those summaries. Every
 witness they return is rechecked against the table without the level: its
 claimed blocks are gathered by the table's strides in one numpy pass per
 chunk of sets, and its first block is read once more through `forced_value`.
+numpy is imported by the functions that use it, so that importing this
+module, and every subcommand that builds no level, does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, prod
 from typing import Any, Optional, Sequence
-
-import numpy as np
 
 from .core import Catalog, ConfigError, is_int, parse_selector
 
@@ -77,6 +78,7 @@ class FunctionTable:
     @cached_property
     def _coded(self) -> tuple[tuple[Token, ...], np.ndarray]:
         """The distinct tokens in token_key order, and the table as their codes."""
+        import numpy as np
         # the type tag keeps set() from merging 1 and True before token_key
         tagged = list(zip(map(type, self.outputs), self.outputs))
         key = {tt: token_key(tt[1]) for tt in set(tagged)}
@@ -175,7 +177,8 @@ def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[in
     return None if code is None else f._coded[0][code]
 
 
-_UNFORCED = np.iinfo(np.intp).max
+# no forcing assignment; np.iinfo(np.intp).max, since intp is Py_ssize_t
+_UNFORCED = sys.maxsize
 
 # Layouts depend only on (domains, k, chunk), so tables of one shape share
 # them. Only layouts of at most this many cells are kept, 32 at most.
@@ -202,6 +205,7 @@ def _layout(domains: tuple[int, ...], k: int, lo: int, hi: int):
     `row_set` and `row_assignment` name each row, and `dims` holds each
     set's domain sizes.
     """
+    import numpy as np
     n = len(domains)
     cells = np.arange(prod(domains)).reshape(domains)
     subsets = list(itertools.islice(itertools.combinations(range(n), k), lo, hi))
@@ -227,6 +231,7 @@ def _blocks(domains: tuple[int, ...], k: int, lo: int, hi: int):
     starts at assignment · strides. `offsets` lists every set's block cells
     relative to that start, set after set, and `owner` names each one's set.
     """
+    import numpy as np
     n = len(domains)
     cells = np.arange(prod(domains)).reshape(domains)
     sets = list(itertools.islice(itertools.combinations(range(n), k), lo, hi))
@@ -250,6 +255,7 @@ class _Level:
     @cached_property
     def _strides(self) -> np.ndarray:
         """(sets, k) mixed-radix place values of each set's coordinates."""
+        import numpy as np
         strides = np.cumprod(self.dims[:, :0:-1], axis=1)[:, ::-1]
         return np.concatenate([strides, np.ones((len(self.dims), 1), np.intp)], axis=1)
 
@@ -261,6 +267,7 @@ class _Level:
 def _build_level(f: FunctionTable, k: int) -> _Level:
     """One segmented all-equal reduction over every k-set's rows, in chunks
     of at most PROFILE_BUDGET cells (at least one set per chunk)."""
+    import numpy as np
     tokens, codes = f._coded
     flat = codes.ravel()
     subsets, firsts, dims = [], [], []
@@ -301,6 +308,7 @@ class DominanceWitness:
         gathered by strides and must hold only the claimed code, and the
         first subset's block is read again through `forced_value`.
         """
+        import numpy as np
         k = self.k
         if not 0 < k <= f.n or len(self.per_subset) != comb(f.n, k):
             return False
@@ -376,6 +384,7 @@ def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
     When several values qualify they are all listed; y_star is the smallest
     by byte encoding, which is the smallest code.
     """
+    import numpy as np
     if not 0 < k <= f.n:
         raise ConfigError("k must be in 1..n")
     level = f._level(k)

@@ -363,7 +363,7 @@ def pmap(fn: Callable, tasks: list, jobs: int) -> list:
     not seen by them: a test that patches a module must run at --jobs 1, or
     start the pool after patching. Forking is safe because ringbreak starts
     no thread of its own before the pool. Spawned workers would each import
-    ringbreak afresh (about 0.35 s on a 2-core host), which is more than a
+    ringbreak afresh (about 0.2 s on a 2-core host), which is more than a
     short CLI run's loops save.
     """
     global _pool

@@ -3,10 +3,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import ringbreak.coinflip as coinflip
 from ringbreak.coinflip import (
     bias_attack,
     measure_bias,
@@ -14,8 +18,10 @@ from ringbreak.coinflip import (
     verify_no_nontrivial_bias,
 )
 from ringbreak.core import ConfigError, derive_seed
-from ringbreak.ring import attack_ring_size
+from ringbreak.ring import attack_ring_size, phase1_strict
 from ringbreak.zoo import make_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestStatisticalDistance:
@@ -29,7 +35,7 @@ class TestStatisticalDistance:
                 f"print(repr(d({self.PARTS!r}, {{}})))")
         seen = set()
         for hash_seed in ("0", "1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                  capture_output=True, text=True, timeout=60)
             seen.add(out.stdout.strip())
@@ -138,6 +144,25 @@ class TestPilotPolarity:
     def test_non_bit_rejected(self):
         with pytest.raises(ConfigError):
             pilot_polarity(make_spec("const:5", 3), 16, seed=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counts_match_the_serial_loop(self, jobs, inline_pool):
+        spec = make_spec("fair_coin", 3)
+        seen = Counter(phase1_strict(spec, derive_seed(3, "pilot", i)).y_star for i in range(50))
+        exc, counts = pilot_polarity(spec, 50, seed=3, jobs=jobs)
+        assert counts == {"0": seen[b"\x00"], "1": seen[b"\x01"]}
+        assert exc == (b"\x00" if seen[b"\x00"] <= seen[b"\x01"] else b"\x01")
+        assert inline_pool.built == ([2] if jobs == 2 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_non_bit_run_names_the_error(self, jobs, inline_pool, monkeypatch):
+        # runs 0..29 commit to bits and run i >= 30 to the byte i, so several
+        # chunks raise; run 30's error must be the one seen
+        run = {derive_seed(0, "pilot", i): i for i in range(64)}
+        monkeypatch.setattr(coinflip, "phase1_strict", lambda spec, seed: SimpleNamespace(
+            y_star=bytes([run[seed] % 2 if run[seed] < 30 else run[seed]])))
+        with pytest.raises(ConfigError, match=r"^const:0 is not bit-valued; saw b'\\x1e'$"):
+            pilot_polarity(make_spec("const:0", 3), 64, seed=0, jobs=jobs)
 
 
 class TestVerdict:
