@@ -46,6 +46,7 @@ from .core import (
     RoundBound,
     SpecViolation,
     TopologyViolation,
+    coalition_size,
     derive_seed,
     outcome_repr,
 )
@@ -101,7 +102,8 @@ from .ring import (
     phase1_strict,
     ring_distance,
 )
-from .stats import proportion_sigma, statistical_distance, wilson_interval
+from .stats import (AttackVerdict, attack_verdict, proportion_sigma, statistical_distance,
+                    wilson_interval)
 from .zoo import ZOO, make_spec
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .core import (
     ConfigError,
     JointInput,
     SpecViolation,
+    coalition_size,
     derive_seed,
     is_int,
     outcome_repr,
@@ -54,7 +55,7 @@ from .ring import (
     partition_to_three,
     three_party_form,
 )
-from .stats import proportion_sigma, wilson_interval
+from .stats import attack_verdict, proportion_sigma
 from .zoo import ZOO, make_spec
 
 EXIT_OK = 0
@@ -142,7 +143,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         raise ConfigError("attack needs --t")
     if cfg["q_expected"] is not None and cfg["variant"] == "strict":
         raise ConfigError("--q-expected applies only to --variant expected")
-    s = 1 if 2 * t >= n else n - 2 * t
+    s = coalition_size(n, t)
     corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else list(range(n - s, n))
     cfg["corrupt"] = list(corrupt)
     trials = cfg["trials"]
@@ -169,14 +170,8 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     consistency = estimate_consistency(spec3, embedding_family(spec3, m),
                                        delta_trials, derive_seed(cfg["seed"], "delta"),
                                        jobs=jobs)
-    delta_hat = consistency.delta_hat
-
-    rate = success / ran if ran else 0.0
-    lo, hi = wilson_interval(success, ran) if ran else (0.0, 1.0)
-    sigma3 = 3 * proportion_sigma(success, ran) if ran else 1.0
-    bound = 1.0 - (1.5 * m + 1.0) * delta_hat - sigma3
-    holds = rate >= bound
-    code = EXIT_OK if holds else EXIT_FAIL
+    verdict = attack_verdict(success, ran, m, consistency.delta_hat)
+    code = EXIT_OK if verdict.bound_holds else EXIT_FAIL
 
     body: dict = {
         "protocol": spec.name,
@@ -185,14 +180,10 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         "trials": trials,
         "ran": ran,
         "success": success,
-        "success_rate": rate,
-        "success_ci": [lo, hi],
-        "delta_hat": delta_hat,
+        **asdict(verdict),
+        "delta_hat": consistency.delta_hat,
         "delta_ci": consistency.delta_ci,
         "delta_trials_per_adversary": delta_trials,
-        "bound": bound,
-        "bound_holds": holds,
-        "inconclusive": bound <= 0.0,
         "y_star": max(y_hist, key=lambda k: (y_hist[k], k)) if y_hist else None,
         "y_star_histogram": dict(sorted(y_hist.items())),
         "outcome_histogram": dict(sorted(outcomes.items())),

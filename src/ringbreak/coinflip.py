@@ -132,7 +132,6 @@ class BiasAttackResult:
 
     aborted: bool
     attempts: int
-    kappa: int
     excluded: bytes
     y_star: Optional[bytes]
     corrupted: tuple[int, ...]
@@ -171,10 +170,9 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
             raise ConfigError(
                 f"{spec.name} produced non-bit value {y!r}; not a coin-flip protocol")
         if y != exclude:
-            return BiasAttackResult(aborted=False, attempts=attempt, kappa=kappa,
-                                    excluded=exclude, y_star=y, corrupted=corrupt,
-                                    adversary=atk.adversary)
-    return BiasAttackResult(aborted=True, attempts=kappa, kappa=kappa, excluded=exclude,
+            return BiasAttackResult(aborted=False, attempts=attempt, excluded=exclude,
+                                    y_star=y, corrupted=corrupt, adversary=atk.adversary)
+    return BiasAttackResult(aborted=True, attempts=kappa, excluded=exclude,
                             y_star=None, corrupted=corrupt, adversary=None)
 
 

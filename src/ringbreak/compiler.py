@@ -33,8 +33,8 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Any, Optional, Sequence
 
-from .core import (BOT, Catalog, CoinStream, ConfigError, SpecViolation, derive_seed, is_int,
-                   outcome_repr, parse_selector)
+from .core import (BOT, Catalog, CoinStream, ConfigError, SpecViolation, coalition_size,
+                   derive_seed, is_int, outcome_repr, parse_selector)
 from .dominance import DominanceWitness, FunctionTable, Token, is_k_dominated
 
 
@@ -218,18 +218,17 @@ class WrappedProtocol:
 
 
 def wrap_dominated(f: FunctionTable, n: int, t: int) -> WrappedProtocol:
-    """Build the wrapper for an (n-2t)-dominated f with n/3 <= t < n/2."""
+    """Build the wrapper for an s-dominated f, s = `coalition_size(n, t)`,
+    with an honest majority (t < n/2); t1 = s-1 and t2 = t."""
     if f.n != n:
         raise ConfigError(f"table arity {f.n} does not match n={n}")
-    if not (3 * t >= n and 2 * t < n):
-        raise ConfigError(f"need n/3 <= t < n/2; got n={n}, t={t}")
-    s = n - 2 * t
+    s = coalition_size(n, t)
+    if 2 * t >= n:
+        raise ConfigError(f"the wrapper needs t < n/2; got n={n}, t={t}")
     witness = is_k_dominated(f, s)
     if witness is None:
         raise ConfigError(f"{f.name} is not {s}-dominated; the wrapper does not apply")
-    t1, t2 = n - 2 * t - 1, t
-    assert t1 <= t2 and t1 + 2 * t2 < n
-    return WrappedProtocol(f=f, n=n, t=t, s=s, t1=t1, t2=t2,
+    return WrappedProtocol(f=f, n=n, t=t, s=s, t1=s - 1, t2=t,
                            y_star=witness.y_star, witness=witness)
 
 

@@ -28,6 +28,23 @@ class ConfigError(Exception):
     """Bad user-supplied configuration or input file."""
 
 
+def coalition_size(n: int, t: int) -> int:
+    """The coalition size k(n, t) that decides computability without broadcast.
+
+    For n/3 <= t < n/2, f is computable exactly when it is k-dominated with
+    k = n-2t; for t >= n/2, k = 1 (and f must also be computable with
+    broadcast). Below n/3 broadcast can be built from point-to-point
+    channels, so that regime is refused, as are n < 3 and t >= n.
+    """
+    if n < 3:
+        raise ConfigError(f"need n >= 3 parties, got n={n}")
+    if t >= n:
+        raise ConfigError(f"t={t} corruptions must be fewer than n={n} parties")
+    if 3 * t < n:
+        raise ConfigError(f"t={t} is below n/3 for n={n}, where broadcast is achievable")
+    return 1 if 2 * t >= n else n - 2 * t
+
+
 def is_int(value: Any) -> bool:
     """An int that is not a bool: what a JSON integer loads as."""
     return isinstance(value, int) and not isinstance(value, bool)

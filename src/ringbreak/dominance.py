@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 from typing import Any, Optional, Sequence
 
-from .core import Catalog, ConfigError, is_int, parse_selector
+from .core import Catalog, ConfigError, coalition_size, is_int, parse_selector
 
 PROFILE_BUDGET = 2 ** 24
 
@@ -296,7 +296,6 @@ class DominanceWitness:
     k: int
     kind: str  # "weak" | "strong"
     y_star: Optional[Token]
-    qualifying: tuple[Token, ...]   # strong only: every value that works
     per_subset: dict[tuple[int, ...], tuple[tuple[int, ...], Token]]
 
     def recheck(self, f: FunctionTable) -> bool:
@@ -373,7 +372,7 @@ def is_weakly_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness
     tokens = f._coded[0]
     per_subset = {s: (a, tokens[c]) for s, a, c in
                   zip(level.subsets, level.assignments(best), codes.tolist())}
-    w = DominanceWitness(k=k, kind="weak", y_star=None, qualifying=(), per_subset=per_subset)
+    w = DominanceWitness(k=k, kind="weak", y_star=None, per_subset=per_subset)
     assert w.recheck(f)
     return w
 
@@ -381,8 +380,8 @@ def is_weakly_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness
 def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
     """Witness iff one value can be forced by *every* k-subset.
 
-    When several values qualify they are all listed; y_star is the smallest
-    by byte encoding, which is the smallest code.
+    When several values qualify, y_star is the smallest by byte encoding,
+    which is the smallest code.
     """
     import numpy as np
     if not 0 < k <= f.n:
@@ -395,8 +394,7 @@ def is_k_dominated(f: FunctionTable, k: int) -> Optional[DominanceWitness]:
     y_star = tokens[common[0]]
     per_subset = {s: (a, y_star) for s, a in
                   zip(level.subsets, level.assignments(level.first[:, common[0]]))}
-    w = DominanceWitness(k=k, kind="strong", y_star=y_star,
-                         qualifying=tuple(tokens[c] for c in common), per_subset=per_subset)
+    w = DominanceWitness(k=k, kind="strong", y_star=y_star, per_subset=per_subset)
     assert w.recheck(f)
     return w
 
@@ -491,32 +489,21 @@ class Classification:
 def classify(f: FunctionTable, n: int, t: int) -> Classification:
     """Computability of f against t corruptions without broadcast.
 
-    Honest-majority band (n/3 <= t < n/2): computable exactly when f is
-    (n-2t)-dominated. At t >= n/2 the lack of 1-dominance is already fatal;
-    with 1-dominance the answer additionally depends on broadcast-model
-    feasibility, which is outside this analyzer, hence CONDITIONAL.
+    f must be k-dominated for k = `coalition_size(n, t)`. With an honest
+    majority (t < n/2) that settles it: COMPUTABLE. At t >= n/2 the answer
+    additionally depends on broadcast-model feasibility, which is outside
+    this analyzer, hence CONDITIONAL.
     """
-    if n < 3:
-        raise ConfigError("classification needs n >= 3")
     if f.n != n:
         raise ConfigError(f"table arity {f.n} does not match n={n}")
-    if 3 * t < n:
-        raise ConfigError("t below n/3 is a different regime (broadcast achievable)")
-    if t >= n:
-        raise ConfigError(f"t={t} corruptions must be fewer than n={n} parties")
-    if 2 * t < n:
-        k = n - 2 * t
-        witness = is_k_dominated(f, k)
-        if witness is not None:
-            return Classification(COMPUTABLE, n, t, k, True, witness.y_star,
-                                  f"{k}-dominated with y*={witness.y_star!r}")
-        return Classification(NOT_COMPUTABLE, n, t, k, False, None,
-                              f"not {k}-dominated")
-    witness = is_k_dominated(f, 1)
+    k = coalition_size(n, t)
+    witness = is_k_dominated(f, k)
     if witness is None:
-        return Classification(NOT_COMPUTABLE, n, t, 1, False, None,
-                              "not 1-dominated")
-    return Classification(CONDITIONAL, n, t, 1, True, witness.y_star,
+        return Classification(NOT_COMPUTABLE, n, t, k, False, None, f"not {k}-dominated")
+    if 2 * t < n:
+        return Classification(COMPUTABLE, n, t, k, True, witness.y_star,
+                              f"{k}-dominated with y*={witness.y_star!r}")
+    return Classification(CONDITIONAL, n, t, k, True, witness.y_star,
                           "requires a t-secure broadcast-model protocol for f")
 
 

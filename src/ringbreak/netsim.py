@@ -471,7 +471,9 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
     Checks, over `trials` honest runs with sampled inputs: the strict round
     bound (every party finished once round q's messages are consumed), halt
     absorption (no post-halt sends, no outcome drift), and replay determinism
-    (same seed twice gives identical transcript and outcomes).
+    (same seed twice gives identical transcript and outcomes). A send off the
+    complete graph, or any other broken rule that stops a run, is recorded
+    as that trial's violation.
     """
     if trials < 1:
         raise ConfigError("validate needs at least one trial")
@@ -489,7 +491,7 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
                 max_rounds=cap,
                 record=True, probe_halted=True,
             )
-        except SpecViolation as e:
+        except (SpecViolation, TopologyViolation) as e:
             report.violations.append(f"trial {trial}: {e}")
             continue
         report.violations.extend(f"trial {trial}: {v}" for v in res.probe_violations)

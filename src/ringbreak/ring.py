@@ -41,6 +41,7 @@ from .core import (
     ProtocolSpec,
     SpecViolation,
     TopologyViolation,
+    coalition_size,
     derive_seed,
 )
 from .netsim import (
@@ -521,7 +522,6 @@ class Partition:
     """Three-way split of n parties: two benign groups and the corrupted set."""
 
     n: int
-    t: int
     groups: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     @property
@@ -537,31 +537,20 @@ class Partition:
 def partition_to_three(n: int, t: int, corrupted: Sequence[int]) -> Partition:
     """Deterministic partition (B1, B2, I) used by the n-party reduction.
 
-    Honest-majority regime (n/3 <= t < n/2): |B1| = |B2| = t and |I| = n-2t.
-    Dishonest-majority regime (t >= n/2): sizes (ceil((n-1)/2), floor((n-1)/2), 1).
-    B1 takes the smallest non-corrupted indices, B2 the rest.
+    I is the corrupted set, of exactly k = `coalition_size(n, t)` parties.
+    B1 takes the smallest (n-k+1)//2 other indices and B2 the rest: |B1| =
+    |B2| = t when t < n/2, and sizes (ceil((n-1)/2), floor((n-1)/2)) at
+    t >= n/2, where k = 1.
     """
-    if n < 3:
-        raise ConfigError(f"the reduction to three parties needs n >= 3, got n={n}")
-    if t >= n:
-        raise ConfigError(f"t={t} corruptions must be fewer than n={n} parties")
+    k = coalition_size(n, t)
     corrupt = tuple(sorted(set(corrupted)))
     if any(i < 0 or i >= n for i in corrupt):
         raise ConfigError("corrupted indices out of range")
-    if 2 * t >= n:
-        want = 1
-        size1 = (n - 1 + 1) // 2  # ceil((n-1)/2)
-    elif 3 * t >= n:
-        want = n - 2 * t
-        size1 = t
-    else:
-        raise ConfigError("corruption threshold below n/3 is out of scope")
-    if len(corrupt) != want:
-        raise ConfigError(f"this regime needs exactly {want} corrupted parties, got {len(corrupt)}")
+    if len(corrupt) != k:
+        raise ConfigError(f"this regime needs exactly {k} corrupted parties, got {len(corrupt)}")
     rest = [i for i in range(n) if i not in corrupt]
-    b1 = tuple(rest[:size1])
-    b2 = tuple(rest[size1:])
-    return Partition(n=n, t=t, groups=(b1, b2, corrupt))
+    size1 = (n - k + 1) // 2
+    return Partition(n=n, groups=(tuple(rest[:size1]), tuple(rest[size1:]), corrupt))
 
 
 class FusedProgram(PartyProgram):
@@ -571,7 +560,8 @@ class FusedProgram(PartyProgram):
     messages between groups ride the three fused channels as sorted bundles
     of (original sender, original receiver, payload). The fused party halts
     when all members have halted and outputs the lowest-index member's
-    Outcome, so round complexity is preserved exactly.
+    Outcome, so round complexity is preserved exactly. Every member send is
+    held to the engine's route and size rules on the n-party graph.
     """
 
     def __init__(self, spec: ProtocolSpec, partition: Partition, gid: int):
@@ -602,6 +592,7 @@ class FusedProgram(PartyProgram):
         internal_next: list[Send] = []
         outward: dict[int, list[Send]] = {}
         for send in step_parties(programs, member_states, live, round_no, boxes):
+            _route_check(self.spec.n, *send)
             g = self.group_of[send[1]]
             if g == self.gid:
                 internal_next.append(send)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -28,6 +29,30 @@ def proportion_sigma(successes: int, trials: int) -> float:
         raise ValueError("trials must be positive")
     p = (successes + 2) / (trials + 4)
     return math.sqrt(p * (1 - p) / trials)
+
+
+@dataclass(frozen=True)
+class AttackVerdict:
+    """The ring attack's success check, named after its report keys."""
+
+    success_rate: float
+    success_ci: tuple[float, float]
+    bound: float
+    bound_holds: bool
+    inconclusive: bool
+
+
+def attack_verdict(success: int, ran: int, m: int, delta_hat: float) -> AttackVerdict:
+    """Check `success` of `ran` attack runs against 1 - (1.5m+1)*delta_hat - 3 sigma.
+
+    With no run the rate is 0, the interval [0, 1] and 3 sigma is 1. A bound
+    at or below 0 holds vacuously, so the verdict is inconclusive.
+    """
+    rate = success / ran if ran else 0.0
+    ci = wilson_interval(success, ran) if ran else (0.0, 1.0)
+    sigma3 = 3 * proportion_sigma(success, ran) if ran else 1.0
+    bound = 1.0 - (1.5 * m + 1.0) * delta_hat - sigma3
+    return AttackVerdict(rate, ci, bound, rate >= bound, bound <= 0.0)
 
 
 def statistical_distance(p: dict, q: dict) -> float:

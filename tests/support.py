@@ -1,24 +1,30 @@
 """Test oracles and fixtures that the library itself never uses.
 
 The full-ring reference run that the light-cone simulator is checked
-against, mutant and coin-revealing programs, test adversaries, and input
-helpers. Test modules import them as `from support import ...`.
+against, mutant and coin-revealing programs, test adversaries, input
+helpers, and the checks the planted-defect table reruns: the regime grid
+over classify and the wrapper, and the attack verdict's fixed counts. Test
+modules import them as `from support import ...`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import ringbreak.stats as stats
+from ringbreak.compiler import wrap_dominated
 from ringbreak.core import (
+    ConfigError,
     JointEntry,
     JointInput,
     PartyProgram,
     ProtocolSpec,
     RawInput,
     RoundBound,
+    coalition_size,
     outcome_repr,
 )
-from ringbreak.dominance import FunctionTable, Token
+from ringbreak.dominance import FunctionTable, Token, classify, or_table
 from ringbreak.netsim import (
     AdversaryContext,
     AdversaryStrategy,
@@ -186,6 +192,30 @@ def make_coin_flash(n: int) -> ProtocolSpec:
                     RoundBound("strict", 1), RawInput(INPUT_BYTES))
 
 
+class OneSendProgram(PartyProgram):
+    """Topology mutant: sends b"x" to `dst` in round 1, then halts with 0."""
+
+    role_id = "one-send"
+
+    def __init__(self, dst: int):
+        self.dst = dst
+
+    def init(self, input_bytes, coins):
+        return 0
+
+    def step(self, state, round_no, inbox):
+        return 1, {} if state else {self.dst: b"x"}
+
+    def finished(self, state):
+        return b"\x00" if state else None
+
+
+def make_one_send(n: int, dst_of) -> ProtocolSpec:
+    """n parties, party i sending once to dst_of(i)."""
+    return _uniform("one_send", n, lambda i: OneSendProgram(dst_of(i)),
+                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
+
+
 def tuned_halt_probability(calls: int) -> float:
     """p with Pr[halted after `calls` step calls] = 1/2 for the geometric halter.
 
@@ -194,3 +224,56 @@ def tuned_halt_probability(calls: int) -> float:
     experiment wants tuned_halt_probability(R + 1).
     """
     return 1.0 - 2.0 ** (-1.0 / calls)
+
+
+def or_refusal(make):
+    """make(), or the text of the ConfigError it raises."""
+    try:
+        return make()
+    except ConfigError as e:
+        return str(e)
+
+
+def table_regime_disagreements(ns=range(3, 9)) -> list[str]:
+    """Each (n, t), -1 <= t <= n, where `classify` or `wrap_dominated` on
+    or_table(n) refuses otherwise than `coalition_size` or settles on another
+    k. On top of the rule, the wrapper refuses t >= n/2."""
+    out = []
+    for n in ns:
+        f = or_table(n)
+        for t in range(-1, n + 1):
+            want = or_refusal(lambda: coalition_size(n, t))
+            got = or_refusal(lambda: classify(f, n, t).k)
+            if got != want:
+                out.append(f"classify n={n} t={t}: {got!r}, rule {want!r}")
+            got = or_refusal(lambda: wrap_dominated(f, n, t).s)
+            if isinstance(want, int) and 2 * t >= n:
+                ok = isinstance(got, str)
+            else:
+                ok = got == want
+            if not ok:
+                out.append(f"wrap_dominated n={n} t={t}: {got!r}, rule {want!r}")
+    return out
+
+
+# (success, ran, m, delta_hat) -> (bound_holds, inconclusive)
+ATTACK_VERDICTS = {
+    (0, 400, 4, 0.0): (False, False),     # nothing forced on a consistent ring
+    (380, 400, 4, 0.0): (False, False),   # 0.95 < bound 0.966
+    (390, 400, 4, 0.0): (True, False),    # 0.975 >= bound 0.9745
+    (400, 400, 4, 0.0): (True, False),
+    (380, 400, 4, 0.01): (True, False),   # delta lowers the bound to 0.896
+    (0, 400, 4, 0.5): (True, True),       # bound < 0: holds vacuously
+    (0, 0, 4, 0.0): (True, True),         # no run: bound 1 - 3 sigma = 0
+}
+
+
+def attack_verdict_disagreements() -> list[str]:
+    """Counts in ATTACK_VERDICTS on which `stats.attack_verdict`, looked up
+    at call time, gives another (bound_holds, inconclusive)."""
+    out = []
+    for args, want in ATTACK_VERDICTS.items():
+        v = stats.attack_verdict(*args)
+        if (v.bound_holds, v.inconclusive) != want:
+            out.append(f"{args}: {(v.bound_holds, v.inconclusive)}, want {want}")
+    return out

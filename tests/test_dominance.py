@@ -177,7 +177,7 @@ def tamper(rng, table, w, how):
 def guessed_witness(rng, table, k):
     """A witness with random assignments and tokens, mostly false."""
     tokens = range_tokens(table)
-    return DominanceWitness(k=k, kind="weak", y_star=None, qualifying=(), per_subset={
+    return DominanceWitness(k=k, kind="weak", y_star=None, per_subset={
         s: (tuple(rng.randrange(table.domains[p]) for p in s), rng.choice(tokens))
         for s in itertools.combinations(range(table.n), k)})
 
@@ -286,10 +286,9 @@ class TestDeciders:
         assert w.recheck(or_table(3))
         assert not w.recheck(and_table(3))
 
-    def test_qualifying_lists_all(self):
-        f = constant_table(3, 5)
-        w = is_k_dominated(f, 1)
-        assert w.y_star == 5 and w.qualifying == (5,)
+    def test_constant_table_forces_its_constant(self):
+        w = is_k_dominated(constant_table(3, 5), 1)
+        assert w.y_star == 5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -334,7 +333,7 @@ class TestDeciders:
 
     def test_recheck_tells_varying_from_null(self):
         claim = {(0,): ((0,), None), (1,): ((1,), 1)}
-        w = DominanceWitness(k=1, kind="weak", y_star=None, qualifying=(), per_subset=claim)
+        w = DominanceWitness(k=1, kind="weak", y_star=None, per_subset=claim)
         # x0 = 0 leaves null and 1
         assert not w.recheck(FunctionTable(n=2, domains=(2, 2), outputs=(None, 1, 1, 1)))
         forced_null = {(0,): ((0,), None), (1,): ((0,), None)}

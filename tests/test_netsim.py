@@ -30,10 +30,11 @@ from ringbreak.netsim import (
     run_with_adversary,
     tally,
     trial_chunks,
+    validate_spec,
 )
 from ringbreak.ring import embedding_family
 from ringbreak.zoo import make_const, make_echo_xor, make_spec, make_xor_exchange
-from support import EquivocatorAdversary, PassiveAdversary, zeros
+from support import EquivocatorAdversary, PassiveAdversary, make_one_send, zeros
 
 
 def bits_joint(spec, bits):
@@ -180,6 +181,11 @@ class TestTopology:
         spec = make_xor_exchange(3)
         with pytest.raises(TopologyViolation, match="no edge"):
             run_with_adversary(spec, Stray(), bits_joint(spec, (0, 0, 0)), 1)
+
+    def test_validate_records_a_self_send(self):
+        rep = validate_spec(make_one_send(3, lambda i: i), trials=2, seed=1)
+        assert not rep.ok
+        assert rep.violations == ["trial 0: no edge 0->0", "trial 1: no edge 0->0"]
 
     def test_message_cap_enforced(self):
         spec = one_shot_spec(bytes(MESSAGE_CAP))

@@ -3,7 +3,10 @@ and a semantic check (never a report digest) must fail under it.
 
 Rows so far: a dominance level that drops its last k-set, and one that marks
 an unforced row as forced. The deciders' witness recheck reads the table
-without the level, so both must end in an AssertionError.
+without the level, so both must end in an AssertionError. The regime rule
+without its t >= n/2 branch must break the regime grid and c07's or4@(4,2)
+verdict, and an attack verdict that always holds must break the verdict's
+fixed-count unit test.
 """
 
 from dataclasses import replace
@@ -11,7 +14,10 @@ from dataclasses import replace
 import pytest
 
 import ringbreak.dominance as dominance
-from ringbreak.dominance import is_k_dominated, is_weakly_k_dominated, or_table, xor_table
+import ringbreak.stats as stats
+from ringbreak.dominance import (CONDITIONAL, classify, is_k_dominated, is_weakly_k_dominated,
+                                 or_table, xor_table)
+from support import attack_verdict_disagreements, or_refusal, table_regime_disagreements
 
 
 def drop_last_set(level):
@@ -43,3 +49,22 @@ def test_broken_level_trips_the_witness_recheck(monkeypatch, defect, make_table,
     monkeypatch.setattr(dominance, "_build_level", lambda f, k: defect(real(f, k)))
     with pytest.raises(AssertionError):
         decider(make_table(3), k)
+
+
+def test_rule_without_its_dishonest_majority_branch(monkeypatch):
+    real = dominance.coalition_size
+
+    def honest_majority_everywhere(n, t):
+        real(n, t)  # same refusals
+        return n - 2 * t
+
+    monkeypatch.setattr(dominance, "coalition_size", honest_majority_everywhere)
+    assert table_regime_disagreements() != []
+    assert or_refusal(lambda: classify(or_table(4), 4, 2).verdict) != CONDITIONAL
+
+
+def test_attack_verdict_always_holds(monkeypatch):
+    real = stats.attack_verdict
+    monkeypatch.setattr(stats, "attack_verdict",
+                        lambda *counts: replace(real(*counts), bound_holds=True))
+    assert attack_verdict_disagreements() != []

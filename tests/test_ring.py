@@ -16,6 +16,7 @@ from ringbreak.core import (
     RawInput,
     RoundBound,
     SpecViolation,
+    TopologyViolation,
     derive_seed,
 )
 from ringbreak.netsim import MESSAGE_CAP, deliver, run_honest, run_with_adversary, step_parties
@@ -52,6 +53,7 @@ from support import (
     ByteSpewerProgram,
     emulate_ring,
     make_coin_flash,
+    make_one_send,
     node_view,
     sample_w,
     tuned_halt_probability,
@@ -420,6 +422,15 @@ class TestFusion:
         plain = run_honest(spec, zeros(spec), 4)
         assert res.halt_rounds == [plain.halt_rounds[0]] * 3
         assert res.outcomes == [plain.outcomes[0]] * 3
+
+
+    @pytest.mark.parametrize("dst_of, edge", [(lambda i: i, "0->0"), (lambda i: 6, "0->6")],
+                             ids=["self", "outside"])
+    def test_member_send_off_the_graph_raises(self, dst_of, edge):
+        spec = make_one_send(6, dst_of)
+        fused = fuse_parties(spec, partition_to_three(6, 2, (4, 5)))
+        with pytest.raises(TopologyViolation, match=f"^no edge {edge}$"):
+            run_honest(fused, zeros(fused), 1)
 
 
 class TestNPartyAttack:
