@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
 from dataclasses import asdict
 from typing import Any, Callable, Optional
 
-from .coinflip import bias_attack, measure_bias, verify_no_nontrivial_bias
+from .coinflip import (bias_attack, default_bias_coalition, measure_bias,
+                       verify_no_nontrivial_bias)
 from .compiler import (ADVERSARIES, compare_real_ideal, enumerate_decisions, make_adversary,
                        wrap_dominated)
 from .core import (
@@ -55,7 +55,7 @@ from .ring import (
     partition_to_three,
     three_party_form,
 )
-from .stats import attack_verdict, proportion_sigma
+from .stats import attack_verdict, delta_budget, proportion_sigma
 from .zoo import ZOO, make_spec
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_attack(cfg: dict, jobs: int = 1):
 
     delta_trials = cfg["delta_trials"]
     if delta_trials is None:
-        delta_trials = max(100, trials // (2 * m))
+        delta_trials = delta_budget(trials, m)
     consistency = estimate_consistency(spec3, embedding_family(spec3, m),
                                        delta_trials, derive_seed(cfg["seed"], "delta"),
                                        jobs=jobs)
@@ -231,9 +231,7 @@ def cmd_dominance(cfg: dict, jobs: int = 1):
 
 def cmd_coinflip(cfg: dict, jobs: int = 1):
     spec = make_spec(cfg["protocol"], cfg["n"])
-    n = cfg["n"]
-    want = math.ceil(n / 3)
-    corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else list(range(n - want, n))
+    corrupt = cfg["corrupt"] if cfg["corrupt"] is not None else default_bias_coalition(cfg["n"])
     cfg["corrupt"] = list(corrupt)
     mode = cfg["mode"]
     code = EXIT_OK

@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, derive_seed
+from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, coalition_size, derive_seed
 from .netsim import (AdversaryStrategy, estimate_consistency, run_honest, run_with_adversary,
                      tally)
 from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_strict
-from .stats import proportion_sigma, statistical_distance, wilson_interval
+from .stats import (delta_budget, proportion_sigma, ring_penalty, statistical_distance,
+                    wilson_interval)
 
 UNIFORM_BIT = {"0": 0.5, "1": 0.5, "other": 0.0}
 # offline phase-1 runs that pick the excluded value of a bias verdict
@@ -138,22 +139,26 @@ class BiasAttackResult:
     adversary: Optional[AdversaryStrategy] = field(repr=False, default=None)
 
 
+def default_bias_coalition(n: int) -> tuple[int, ...]:
+    """The last ceil(n/3) parties: the coalition a bias run corrupts unless told."""
+    return tuple(range(n - math.ceil(n / 3), n))
+
+
 def _bias_coalition(n: int, corrupted: tuple[int, ...],
                     kappa: int) -> tuple[tuple[int, ...], int]:
     """Check a bias attack's coalition and kappa; returns the sorted
-    coalition and the attack's t = (n - |coalition|) / 2."""
+    coalition and the attack's t = n/3, for which `coalition_size` is t."""
+    if n % 3:
+        raise ConfigError(f"the bias attack needs n divisible by 3, got n={n}")
+    t = n // 3
     corrupt = tuple(sorted(set(corrupted)))
     if any(not 0 <= i < n for i in corrupt):
         raise ConfigError(f"corrupted indices {list(corrupt)} out of range for n={n}")
-    want = math.ceil(n / 3)
-    if len(corrupt) != want:
-        raise ConfigError(f"bias attack corrupts exactly ceil(n/3)={want} parties")
+    if len(corrupt) != coalition_size(n, t):
+        raise ConfigError(f"bias attack corrupts exactly n/3={t} parties")
     if kappa < 1:
         raise ConfigError("need kappa >= 1 attempts")
-    if (n - len(corrupt)) % 2 != 0:
-        raise ConfigError(
-            f"no integral threshold pairs n={n} with a coalition of {len(corrupt)}")
-    return corrupt, (n - len(corrupt)) // 2
+    return corrupt, t
 
 
 def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed: int,
@@ -240,8 +245,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
         raise ConfigError("strict attack needs a strict-round protocol")
     n = spec.n
     if corrupted is None:
-        want = math.ceil(n / 3)
-        corrupted = tuple(range(n - want, n))
+        corrupted = default_bias_coalition(n)
     if n != 3:
         raise ConfigError("the bias verdict is implemented for 3-party protocols")
     if trials < 1000:
@@ -251,7 +255,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
 
     family = embedding_family(spec, m)
     if delta_trials is None:
-        delta_trials = max(100, trials // (2 * len(family)))
+        delta_trials = delta_budget(trials, m)
     consistency = estimate_consistency(spec, family, delta_trials,
                                        derive_seed(seed, "bias-delta"), jobs=jobs)
     delta_hat = consistency.delta_hat
@@ -261,7 +265,7 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     attack = bias_attack(spec, corrupted, kappa, derive_seed(seed, "bias-search"),
                          exclude=excluded)
 
-    bound = 0.5 - 2.0 ** (-kappa) - (1.5 * m + 1) * delta_hat
+    bound = 0.5 - 2.0 ** (-kappa) - ring_penalty(m, delta_hat)
     forced = sigma3 = None
     if not attack.aborted:
         # None when no run was consistent: then the inequality says nothing

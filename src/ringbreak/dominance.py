@@ -144,11 +144,12 @@ class FunctionTable:
                              name=str(data.get("name", "f")))
 
 
-def _forced_code(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[int]:
-    """The code of the output forced by fixing the given coordinates, if any.
+def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:
+    """The output forced by fixing the given coordinates, if it is constant.
 
     Slices the coded table along the fixed coordinates and checks the
-    remaining block for constancy; None when any two complements disagree.
+    remaining block for constancy. None when any two complements disagree,
+    and also when the block is constantly the null token.
     """
     positions = list(positions)
     values = list(values)
@@ -164,17 +165,7 @@ def _forced_code(f: FunctionTable, positions: Sequence[int], values: Sequence[in
             raise ConfigError(f"value {val!r} outside domain of coordinate {pos}")
         indexer[pos] = val
     block = f._coded[1][tuple(indexer)].ravel()
-    return int(block[0]) if (block == block[0]).all() else None
-
-
-def forced_value(f: FunctionTable, positions: Sequence[int], values: Sequence[int]) -> Optional[Token]:
-    """The output forced by fixing the given coordinates, if it is constant.
-
-    None when the remaining block is not constant, and also when it is
-    constantly the null token.
-    """
-    code = _forced_code(f, positions, values)
-    return None if code is None else f._coded[0][code]
+    return f._coded[0][int(block[0])] if (block == block[0]).all() else None
 
 
 # no forcing assignment; np.iinfo(np.intp).max, since intp is Py_ssize_t

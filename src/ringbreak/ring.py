@@ -206,9 +206,7 @@ def attack_geometry(q: int, variant: str) -> tuple[int, int, int]:
 class AttackPhase1Result:
     """Outcome of the offline ring run(s) that pre-commit the forced value."""
 
-    variant: str
     m: int
-    q: int
     pstar: int
     pstar_distance: int
     y_star: Optional[bytes]
@@ -253,7 +251,7 @@ def _phase1(spec3: ProtocolSpec, variant: str, q: int, z: int, seed: int) -> Att
         if y is not RUNNING:
             break
     return AttackPhase1Result(
-        variant=variant, m=m, q=q, pstar=pstar, pstar_distance=dist,
+        m=m, pstar=pstar, pstar_distance=dist,
         y_star=None if y is RUNNING else y, w=w, seed=exec_seed, iterations_used=it,
         aborted=y is RUNNING, pstar_halt_round=halt_round, ring=ring,
     )
@@ -344,14 +342,12 @@ class VirtualRing:
     """
 
     def __init__(self, ring: RingNetwork, w: JointInput | SampledRingInput, seed: int,
-                 external: dict[int, int], round_cap: Optional[int] = None,
-                 observed: Optional[Sequence[int]] = None):
+                 external: dict[int, int], observed: Optional[Sequence[int]] = None):
         size = ring.size
         self.ring = ring
         self.w = w
         self.seed = seed
         self.external = external  # slot -> real party id
-        self.round_cap = round_cap
         if observed is None:
             observed = {(e + d) % size for e in external for d in (-1, 1)} - set(external)
         self.layers, self.out_of_order = _lag_layers(size, tuple(sorted(external)),
@@ -376,8 +372,6 @@ class VirtualRing:
         return self.programs[slot].finished(self.states[slot])
 
     def step(self, round_no: int, fed: Sequence[Send]) -> list[Send]:
-        if self.round_cap is not None and round_no > self.round_cap:
-            return []
         programs, states, inboxes = self.programs, self.states, self.inboxes
         size, external, last = self.ring.size, self.external, len(self.layers) - 1
         boundary: list[Send] = []
@@ -410,17 +404,17 @@ class RingBridge(AdversaryStrategy):
 
     `slots` maps each honest party to its slot; the other roles are corrupted.
     The remaining slots run in a VirtualRing stepped in each real round the
-    engine steps the adversary in (none after the honest parties' last step),
-    and each honest party's channel to a corrupted role bridges to the
-    neighboring virtual slot. Subclasses choose the ring input and seed.
+    engine steps the adversary in (none after the honest parties' last step
+    or past the engine's round cap), and each honest party's channel to a
+    corrupted role bridges to the neighboring virtual slot. Subclasses
+    choose the ring input and seed.
     """
 
-    def __init__(self, ring: RingNetwork, slots: dict[int, int], round_cap: Optional[int]):
+    def __init__(self, ring: RingNetwork, slots: dict[int, int]):
         self.ring = ring
         self.mapping = dict(slots)  # honest party -> slot
         self.corrupted = frozenset(range(3)) - frozenset(slots)
         self.external = {slot: h for h, slot in slots.items()}
-        self.virtual_round_cap = round_cap
         size = ring.size
         self.in_bridge: dict[tuple[int, int], int] = {}
         for slot, h in self.external.items():
@@ -438,7 +432,7 @@ class RingBridge(AdversaryStrategy):
 
     def init(self, ctx: AdversaryContext):
         w, seed = self.ring_input(ctx)
-        return VirtualRing(self.ring, w, seed, self.external, round_cap=self.virtual_round_cap)
+        return VirtualRing(self.ring, w, seed, self.external)
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
         # traffic between corrupted parties has no bridge; nothing to simulate
@@ -463,7 +457,7 @@ class NeighborEmbeddingAdversary(RingBridge):
             raise ConfigError("copy index j out of range")
         self.j = j
         ring = _ring_network(spec3, m)
-        super().__init__(ring, {0: ring.slot_of(0, j), 1: ring.slot_of(1, j)}, None)
+        super().__init__(ring, {0: ring.slot_of(0, j), 1: ring.slot_of(1, j)})
 
     def describe(self) -> str:
         return f"embed[j={self.j},m={self.ring.m}]"
@@ -495,8 +489,7 @@ class AttackAdversary(RingBridge):
         if phase1.aborted:
             raise ConfigError("phase 1 aborted; no value to force")
         self.phase1 = phase1
-        round_cap = 64 * max(1, phase1.q) if phase1.variant == "expected" else None
-        super().__init__(phase1.ring, honest_slot_map(frozenset(corrupted)), round_cap)
+        super().__init__(phase1.ring, honest_slot_map(frozenset(corrupted)))
 
     def describe(self) -> str:
         return f"ring-attack[corrupt={sorted(self.corrupted)},m={self.phase1.m}]"

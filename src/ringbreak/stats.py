@@ -31,6 +31,17 @@ def proportion_sigma(successes: int, trials: int) -> float:
     return math.sqrt(p * (1 - p) / trials)
 
 
+def delta_budget(trials: int, m: int) -> int:
+    """Trials per embedding adversary of a delta estimate that runs beside
+    `trials` attack or forced runs on a ring of m copies."""
+    return max(100, trials // (2 * m))
+
+
+def ring_penalty(m: int, delta_hat: float) -> float:
+    """What inconsistency costs a bound: (1.5m+1)*delta_hat for m ring copies."""
+    return (1.5 * m + 1.0) * delta_hat
+
+
 @dataclass(frozen=True)
 class AttackVerdict:
     """The ring attack's success check, named after its report keys."""
@@ -51,7 +62,7 @@ def attack_verdict(success: int, ran: int, m: int, delta_hat: float) -> AttackVe
     rate = success / ran if ran else 0.0
     ci = wilson_interval(success, ran) if ran else (0.0, 1.0)
     sigma3 = 3 * proportion_sigma(success, ran) if ran else 1.0
-    bound = 1.0 - (1.5 * m + 1.0) * delta_hat - sigma3
+    bound = 1.0 - ring_penalty(m, delta_hat) - sigma3
     return AttackVerdict(rate, ci, bound, rate >= bound, bound <= 0.0)
 
 

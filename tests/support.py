@@ -263,6 +263,7 @@ ATTACK_VERDICTS = {
     (390, 400, 4, 0.0): (True, False),    # 0.975 >= bound 0.9745
     (400, 400, 4, 0.0): (True, False),
     (380, 400, 4, 0.01): (True, False),   # delta lowers the bound to 0.896
+    (360, 400, 4, 0.01): (True, False),   # 0.9 >= 0.884; a halved penalty gives 0.919
     (0, 400, 4, 0.5): (True, True),       # bound < 0: holds vacuously
     (0, 0, 4, 0.0): (True, True),         # no run: bound 1 - 3 sigma = 0
 }

@@ -362,6 +362,15 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [4, 5, 7, 8])
+def test_coinflip_attack_names_an_n_not_divisible_by_3(n, capsys):
+    argv = ["coinflip", "--protocol", "fair_coin", "--mode", "attack", "--trials", "1000"]
+    assert main([*argv, "--n", str(n), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the bias attack needs n divisible by 3, got n={n}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["compile", "--builtin", "thresh:3:9", "--t", "3", "--inputs", "0,0,0,0,0,0,0,0,5"],
      "input 5 of party 8 outside its domain of size 2"),

@@ -13,6 +13,7 @@ import pytest
 import ringbreak.coinflip as coinflip
 from ringbreak.coinflip import (
     bias_attack,
+    default_bias_coalition,
     measure_bias,
     pilot_polarity,
     verify_no_nontrivial_bias,
@@ -97,6 +98,22 @@ class TestBiasAttack:
             bias_attack(spec, (1, 2), kappa=4, seed=0)
         with pytest.raises(ConfigError):
             bias_attack(spec, (), kappa=4, seed=0)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_n_not_divisible_by_3_is_refused_up_front(self, n, monkeypatch):
+        def never(*a, **kw):
+            raise AssertionError("searched before checking n")
+
+        monkeypatch.setattr(coinflip, "attack_n_party", never)
+        with pytest.raises(ConfigError) as e:
+            bias_attack(make_spec("fair_coin", n), default_bias_coalition(n), kappa=4, seed=0)
+        assert str(e.value) == f"the bias attack needs n divisible by 3, got n={n}"
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_n_divisible_by_3_corrupts_a_third(self, n):
+        res = bias_attack(make_spec("fair_coin", n), default_bias_coalition(n), kappa=12,
+                          seed=21)
+        assert not res.aborted and res.corrupted == tuple(range(n - n // 3, n))
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(ConfigError):

@@ -5,8 +5,8 @@ Rows so far: a dominance level that drops its last k-set, and one that marks
 an unforced row as forced. The deciders' witness recheck reads the table
 without the level, so both must end in an AssertionError. The regime rule
 without its t >= n/2 branch must break the regime grid and c07's or4@(4,2)
-verdict, and an attack verdict that always holds must break the verdict's
-fixed-count unit test.
+verdict. An attack verdict that always holds, and a ring penalty halved, must
+break the verdict's fixed-count unit test.
 """
 
 from dataclasses import replace
@@ -67,4 +67,10 @@ def test_attack_verdict_always_holds(monkeypatch):
     real = stats.attack_verdict
     monkeypatch.setattr(stats, "attack_verdict",
                         lambda *counts: replace(real(*counts), bound_holds=True))
+    assert attack_verdict_disagreements() != []
+
+
+def test_halved_ring_penalty(monkeypatch):
+    real = stats.ring_penalty
+    monkeypatch.setattr(stats, "ring_penalty", lambda m, delta_hat: real(m, delta_hat) / 2)
     assert attack_verdict_disagreements() != []

@@ -3,16 +3,22 @@
 For 3 <= n <= 30 and -1 <= t <= n, `partition_to_three` and the `attack`
 experiment must refuse exactly the (n, t) the rule refuses, with its text,
 and use a coalition of exactly k parties; `classify` and `wrap_dominated`
-must do the same on or_table(n) for 3 <= n <= 8.
+must do the same on or_table(n) for 3 <= n <= 8. `bias_attack` with its
+default ceil(n/3) parties must run exactly where the rule at t = ceil(n/3)
+gives a coalition of that size.
 """
 
+import math
 import types
 
 import pytest
 
 import ringbreak.cli as cli
+import ringbreak.coinflip as coinflip
+from ringbreak.coinflip import bias_attack, default_bias_coalition
 from ringbreak.core import ConfigError, coalition_size
 from ringbreak.ring import partition_to_three
+from ringbreak.zoo import make_spec
 from support import or_refusal, table_regime_disagreements
 
 GRID = [(n, t) for n in range(3, 31) for t in range(-1, n + 1)]
@@ -67,6 +73,31 @@ def test_attack_follows_the_rule(monkeypatch):
             bad.append(f"n={n} t={t}: {got!r}, rule {want!r}")
         elif not isinstance(rep, str) and rep["corrupted"] != list(range(n - want, n)):
             bad.append(f"n={n} t={t}: default coalition {rep['corrupted']}")
+    assert bad == []
+
+
+def test_bias_attack_follows_the_rule(monkeypatch):
+    # the phase-1 search is stubbed as the attack grid stubs delta; the stub
+    # records the t the search was handed
+    handed = []
+
+    def search(spec, t, corrupt, seed):
+        handed.append(t)
+        return types.SimpleNamespace(y_star=b"\x01", adversary=None)
+
+    monkeypatch.setattr(coinflip, "attack_n_party", search)
+    bad = []
+    for n in range(3, 31):
+        want = math.ceil(n / 3)
+        ok = coalition_size(n, want) == want
+        handed.clear()
+        got = or_refusal(lambda: bias_attack(make_spec("const:1", n),
+                                             default_bias_coalition(n), 1, 1).corrupted)
+        if isinstance(got, str):
+            if ok or f"n={n}" not in got:
+                bad.append(f"n={n}: refused with {got!r}")
+        elif not ok or len(got) != want or coalition_size(n, handed[0]) != want:
+            bad.append(f"n={n}: ran with {got}, searched at t={handed[0]}")
     assert bad == []
 
 

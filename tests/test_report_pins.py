@@ -3,9 +3,10 @@
 Each row is one experiment config and the sha256 of its rendered report.
 The first attack, the const:1 coinflip attack and the xor_exchange
 consistency rows are the configs of acceptance criterion c10; the rest cover
-every subcommand, fused groups of three (or_exchange at n=9, t=3) and the
-expected-round attack variant. A changed digest means the reports changed:
-that has to be a deliberate, documented decision, never a side effect.
+every subcommand, fused groups of three (or_exchange at n=9, t=3), the
+expected-round attack variant and a coin-flip attack at n=6. A changed
+digest means the reports changed: that has to be a deliberate, documented
+decision, never a side effect.
 """
 
 import hashlib
@@ -55,6 +56,15 @@ PINNED = [
     # s = n-2t = 1: t1 = 0, so the lone corrupted party may abort
     ("compile", {"builtin": "or:3", "t": 1, "adv": "coin:1/2", "mc_trials": 200, "seed": 9},
      "223ffd65f69cab835668f3dc08d5529a9f89d11e351ca60d04c0f1d92b3fa42d"),
+    # --q-expected below q: the one kind of config where a virtual-ring
+    # round cap of 64*q_expected would sit below the engine's 64*q
+    ("attack", {"protocol": "geom_halt:0.25", "n": 3, "t": 1, "variant": "expected",
+                "q_expected": 2, "z": 8, "trials": 20, "seed": 13, "delta_trials": 100},
+     "1abaa2e3c9a382e9334513e822bd1c59328676a79155aa7efc2412ccd7ab9b8c"),
+    # the bias coalition at n > 3: two of six parties, attacked at t = 2
+    ("coinflip", {"protocol": "fair_coin", "n": 6, "mode": "attack", "trials": 1000,
+                  "seed": 6},
+     "37ba5b085706cecf20ab4eec2b6157734f566840ad58dc323262f4246a49ab2c"),
 ]
 
 
