@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -131,19 +131,21 @@ def outcome_repr(value: Any) -> str:
     return repr(value)
 
 
+# the fixed-width integers seeds and coin blocks are hashed over
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+
 def derive_seed(master_seed: int, *parts: Any) -> int:
     """Stable 64-bit seed for a sub-experiment (trial, iteration, pilot...).
 
     Pure function of the master seed and the part labels; no global state.
     """
-    h = hashlib.sha256()
-    h.update(b"ringbreak-seed")
-    h.update(struct.pack("<Q", master_seed & MASK64))
+    buf = [b"ringbreak-seed", _U64.pack(master_seed & MASK64)]
     for p in parts:
         data = p if isinstance(p, bytes) else str(p).encode()
-        h.update(struct.pack("<I", len(data)))
-        h.update(data)
-    return struct.unpack("<Q", h.digest()[:8])[0]
+        buf += (_U32.pack(len(data)), data)
+    return _U64.unpack_from(hashlib.sha256(b"".join(buf)).digest())[0]
 
 
 class CoinStream:
@@ -153,7 +155,8 @@ class CoinStream:
     (master_seed, label, block_index). Distinct labels give computationally
     unrelated streams under the same seed. Reads are stateless: callers that
     need a cursor keep the offset in their own state, which keeps party
-    `step` functions pure.
+    `step` functions pure. The hash prefix is built when the first block is
+    hashed, so a stream that is never read costs no hashing.
     """
 
     __slots__ = ("seed", "label", "_prefix", "_blocks")
@@ -163,19 +166,16 @@ class CoinStream:
             raise TypeError("coin label must be bytes")
         self.seed = seed & MASK64
         self.label = label
-        self._prefix = (
-            b"ringbreak-coins"
-            + struct.pack("<Q", self.seed)
-            + struct.pack("<I", len(label))
-            + label
-        )
+        self._prefix: Optional[bytes] = None
         self._blocks: dict[int, bytes] = {}
 
     def _block(self, idx: int) -> bytes:
         blk = self._blocks.get(idx)
         if blk is None:
-            blk = hashlib.sha256(self._prefix + struct.pack("<Q", idx)).digest()
-            self._blocks[idx] = blk
+            if self._prefix is None:
+                self._prefix = (b"ringbreak-coins" + _U64.pack(self.seed)
+                                + _U32.pack(len(self.label)) + self.label)
+            blk = self._blocks[idx] = hashlib.sha256(self._prefix + _U64.pack(idx)).digest()
         return blk
 
     def read(self, offset: int, n: int) -> bytes:
@@ -192,13 +192,22 @@ class CoinStream:
         return bytes(out[:n])
 
     def byte(self, i: int) -> int:
+        if i < 0:
+            raise ValueError("negative coin read")
         return self._block(i // 32)[i % 32]
 
     def bit(self, i: int) -> int:
-        return (self.byte(i // 8) >> (i % 8)) & 1
+        if i < 0:
+            raise ValueError("negative coin read")
+        return (self._block(i // 256)[i // 8 % 32] >> (i % 8)) & 1
 
     def u64(self, offset: int) -> int:
-        return struct.unpack("<Q", self.read(offset, 8))[0]
+        if offset < 0:
+            raise ValueError("negative coin read")
+        idx, within = divmod(offset, 32)
+        if within <= 24:  # all 8 bytes in one block
+            return _U64.unpack_from(self._block(idx), within)[0]
+        return _U64.unpack(self.read(offset, 8))[0]
 
     def uniform(self, offset: int) -> float:
         """Dyadic uniform in [0, 1) from 8 bytes at `offset`."""
@@ -316,16 +325,15 @@ class ProtocolSpec:
     programs: tuple[PartyProgram, ...]
     round_bound: RoundBound
     domains: tuple[InputDomain, ...]
+    # the party count, read on every routed message: set once, not compared
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.programs) < 2:
             raise ValueError("need at least 2 parties")
         if len(self.domains) != len(self.programs):
             raise ValueError("one input domain per party")
-
-    @property
-    def n(self) -> int:
-        return len(self.programs)
+        object.__setattr__(self, "n", len(self.programs))
 
     @property
     def q(self) -> int:

@@ -138,9 +138,10 @@ class AdversaryStrategy:
 
 
 def _route_check(n: int, src: int, dst: int, payload: bytes) -> None:
-    """Every run is on the complete graph: any two distinct parties share an edge."""
-    if dst == src or not 0 <= dst < n:
-        raise TopologyViolation(f"no edge {src}->{dst}")
+    """Every run is on the complete graph: any two distinct parties share an
+    edge. A party id is a plain int (not a bool)."""
+    if type(dst) is not int or dst == src or not 0 <= dst < n:
+        raise TopologyViolation(f"no edge {src}->{dst!r}")
     if not isinstance(payload, bytes):
         raise SpecViolation(f"message {src}->{dst} is not bytes")
     if len(payload) > MESSAGE_CAP:
@@ -157,7 +158,7 @@ def _execute(
     record: bool = False,
     probe_halted: bool = False,
 ) -> ExecutionResult:
-    n = spec.n
+    n, programs = spec.n, spec.programs
     corrupted = adversary.corrupted if adversary is not None else frozenset()
     # a strict spec is held to its declared bound unless the caller sets its own cap
     strict_q = spec.q if spec.round_bound.strict and max_rounds is None else None
@@ -171,10 +172,9 @@ def _execute(
     outcomes: list[Any] = [None] * n
     halt_rounds: list[Optional[int]] = [None] * n
     probe_violations: list[str] = []
-    for i in range(n):
-        if i in corrupted:
-            continue
-        prog, entry = spec.programs[i], joint[i]
+    honest_ids = [i for i in range(n) if i not in corrupted]
+    for i in honest_ids:
+        prog, entry = programs[i], joint.entries[i]
         states[i] = prog.init(entry.input, entry.coins(seed))
         fin = prog.finished(states[i])
         if fin is not None:
@@ -191,7 +191,6 @@ def _execute(
     transcript: Optional[list[TranscriptRecord]] = [] if record else None
     pending: dict[int, dict[int, bytes]] = {}
     adv_pending: dict[tuple[int, int], bytes] = {}
-    honest_ids = [i for i in range(n) if i not in corrupted]
 
     r = 0
     rounds_executed = 0
@@ -206,7 +205,7 @@ def _execute(
             probe_rounds_left -= 1
         r += 1
         flush = r > max_rounds
-        sends = step_parties(spec.programs, states, honest_ids if probe_halted else running,
+        sends = step_parties(programs, states, honest_ids if probe_halted else running,
                              r, pending)
         if probe_halted:
             # contract probe only: nothing a halted party does is delivered
@@ -217,17 +216,20 @@ def _execute(
                     continue
                 if i in noisy:
                     probe_violations.append(f"party {i} active after halt (round {r})")
-                if spec.programs[i].finished(states[i]) != outcomes[i]:
+                if programs[i].finished(states[i]) != outcomes[i]:
                     probe_violations.append(f"party {i} outcome drift after halt (round {r})")
         for src, dst, payload in sends:
             _route_check(n, src, dst, payload)
 
+        still_running = []
         for i in running:
-            fin = spec.programs[i].finished(states[i])
-            if fin is not None:
+            fin = programs[i].finished(states[i])
+            if fin is None:
+                still_running.append(i)
+            else:
                 outcomes[i] = fin
                 halt_rounds[i] = min(r, max_rounds)
-        running = [i for i in running if outcomes[i] is None]
+        running = still_running
 
         # the adversary's round-r sends reach honest parties in round r+1:
         # with none left running, or in the flush round, nobody reads them
@@ -250,9 +252,15 @@ def _execute(
 
         if transcript is not None:
             transcript.extend((r, src, dst, payload) for src, dst, payload in sends)
-        # inboxes of corrupted parties are never stepped; the adversary gets them by edge
-        pending = deliver(sends)
-        adv_pending = {(src, dst): payload for src, dst, payload in sends if dst in corrupted}
+        # corrupted parties are never stepped: the adversary gets their
+        # messages by edge, the honest parties theirs by sender, in send order
+        pending = {}
+        adv_pending = {}
+        for src, dst, payload in sends:
+            if dst in corrupted:
+                adv_pending[(src, dst)] = payload
+            else:
+                pending.setdefault(dst, {})[src] = payload
 
     for i in running:
         outcomes[i] = RUNNING

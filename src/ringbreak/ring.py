@@ -73,37 +73,30 @@ class RingSlotProgram(PartyProgram):
         self.base = base
         self.slot = slot
         self.size = size
-        self.pred = (slot - 1) % size
-        self.succ = (slot + 1) % size
-        self.pred_role = (role - 1) % 3
-        self.succ_role = (role + 1) % 3
+        # each neighbour slot <-> the local id of the role it holds
+        self.to_local = {(slot - 1) % size: (role - 1) % 3, (slot + 1) % size: (role + 1) % 3}
+        self.to_slot = {local: s for s, local in self.to_local.items()}
         self.role_id = f"s{slot}:{base.role_id}"
-
-    def init(self, input_bytes, coins):
-        return self.base.init(input_bytes, coins)
+        # a slot starts and halts exactly as its role program does
+        self.init = base.init
+        self.finished = base.finished
 
     def step(self, state, round_no, inbox):
+        to_local, to_slot = self.to_local, self.to_slot
         local = {}
-        for src, payload in inbox.items():
-            if src == self.pred:
-                local[self.pred_role] = payload
-            elif src == self.succ:
-                local[self.succ_role] = payload
-            else:
-                raise TopologyViolation(f"slot {self.slot} received from non-neighbor {src}")
+        try:
+            for src, payload in inbox.items():
+                local[to_local[src]] = payload
+        except KeyError:
+            raise TopologyViolation(f"slot {self.slot} received from non-neighbor {src}") from None
         state, outbox = self.base.step(state, round_no, local)
         out = {}
-        for dst, payload in outbox.items():
-            if dst == self.pred_role:
-                out[self.pred] = payload
-            elif dst == self.succ_role:
-                out[self.succ] = payload
-            else:
-                raise SpecViolation(f"slot {self.slot} sent to unmapped local id {dst}")
+        try:
+            for dst, payload in outbox.items():
+                out[to_slot[dst]] = payload
+        except KeyError:
+            raise SpecViolation(f"slot {self.slot} sent to unmapped local id {dst}") from None
         return state, out
-
-    def finished(self, state):
-        return self.base.finished(state)
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ def run_honest(ring: RingNetwork, w: JointInput, seed: int, rounds_cap: int,
     dropped; a halt at step r is recorded as min(r, rounds_cap), a halt at
     init as 0, and no halt as (RUNNING, None).
     """
-    vring = VirtualRing(ring, w, seed, {}, observed=(slot,))
+    vring = VirtualRing(ring, w, seed, {}, _light_cone(ring.size, (), (slot,)))
     for r in range(rounds_cap + 2):
         if r:
             vring.step(r, ())
@@ -298,9 +291,12 @@ def honest_slot_map(corrupted: frozenset[int]) -> dict[int, int]:
     return table[key]
 
 
+# a VirtualRing's light cone: its slots by lag, and per lag the out-of-order slots
+LightCone = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
 @lru_cache(maxsize=256)
-def _lag_layers(size: int, external: tuple[int, ...], observed: tuple[int, ...]
-                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _lag_layers(size: int, external: tuple[int, ...], observed: tuple[int, ...]) -> LightCone:
     """The simulated slots by lag, their ring distance to the nearest observed
     slot, each layer in ascending slot order; and per layer, the slots whose
     lower-numbered neighbour lags more than the higher-numbered one, so that
@@ -317,6 +313,15 @@ def _lag_layers(size: int, external: tuple[int, ...], observed: tuple[int, ...]
     return layers, tuple(tuple(filter(out_of_order, layer)) for layer in layers)
 
 
+def _light_cone(size: int, external: Sequence[int],
+                observed: Optional[Sequence[int]] = None) -> LightCone:
+    """The lag layers of the slots not in `external`, observed from
+    `observed`, by default the simulated neighbours of the external slots."""
+    if observed is None:
+        observed = {(e + d) % size for e in external for d in (-1, 1)} - set(external)
+    return _lag_layers(size, tuple(sorted(external)), tuple(sorted(observed)))
+
+
 class VirtualRing:
     """Adversary-internal emulation of the ring minus the real parties'
     slots, run only as far as the observed slots can see.
@@ -325,8 +330,9 @@ class VirtualRing:
     the real parties are fed in as sends from those slots, and the sends the
     simulated slots address to them are returned for the adversary to deliver
     over real channels. `w` and `seed` give every slot's input and coins (the
-    external slots' entries are not read). The observed slots default to the
-    simulated neighbours of the external slots.
+    external slots' entries are not read). `cone` is the `_light_cone` of the
+    external slots; by default the observed slots are their simulated
+    neighbours.
 
     Lag rule: a slot at ring distance d from the nearest observed slot runs d
     steps behind them, so in real round r it takes its step r - d. Each real
@@ -342,60 +348,67 @@ class VirtualRing:
     """
 
     def __init__(self, ring: RingNetwork, w: JointInput | SampledRingInput, seed: int,
-                 external: dict[int, int], observed: Optional[Sequence[int]] = None):
-        size = ring.size
-        self.ring = ring
+                 external: dict[int, int], cone: Optional[LightCone] = None):
         self.w = w
         self.seed = seed
         self.external = external  # slot -> real party id
-        if observed is None:
-            observed = {(e + d) % size for e in external for d in (-1, 1)} - set(external)
-        self.layers, self.out_of_order = _lag_layers(size, tuple(sorted(external)),
-                                                     tuple(sorted(observed)))
-        self.programs: dict[int, RingSlotProgram] = {}
+        self.layers, self.out_of_order = _light_cone(ring.size, external) if cone is None else cone
+        self.programs = ring.slot_programs  # one per slot, indexed by slot
         self.states: dict[int, object] = {}
         self.live: list[list[int]] = [[] for _ in self.layers]  # per lag, unhalted slots
         self.inboxes: dict[int, dict[int, dict[int, bytes]]] = {}  # step -> receiver -> inbox
         self._start(0)
 
     def _start(self, lag: int) -> None:
-        w, seed = self.w, self.seed
+        w, seed, programs, states = self.w, self.seed, self.programs, self.states
+        live = self.live[lag]
         for s in self.layers[lag]:
             entry = w[s]
-            prog = self.programs[s] = self.ring.slot_programs[s]
-            state = self.states[s] = prog.init(entry.input, entry.coins(seed))
+            prog = programs[s]
+            state = states[s] = prog.init(entry.input, entry.coins(seed))
             if prog.finished(state) is None:
-                self.live[lag].append(s)
+                live.append(s)
 
     def outcome(self, slot: int):
         """Outcome of a started slot, None while it runs."""
         return self.programs[slot].finished(self.states[slot])
 
     def step(self, round_no: int, fed: Sequence[Send]) -> list[Send]:
-        programs, states, inboxes = self.programs, self.states, self.inboxes
-        size, external, last = self.ring.size, self.external, len(self.layers) - 1
+        programs, states, inboxes, live_by_lag = self.programs, self.states, self.inboxes, self.live
+        size, external, last = len(programs), self.external, len(self.layers) - 1
         boundary: list[Send] = []
         for lag in range(min(round_no - 1, last), -1, -1):
             k = round_no - lag
             if k == 1 and lag:
                 self._start(lag)
-            boxes = inboxes.pop(k, {}) if lag == last else inboxes.setdefault(k, {})
+            # this layer's slots read step k's inboxes now; the last layer
+            # is the last to read them
+            boxes = inboxes.pop(k, None) if lag == last else inboxes.get(k)
+            live = live_by_lag[lag]
+            if not live:
+                continue
+            if boxes is None:
+                boxes = {}
             for s in self.out_of_order[lag]:
                 box = boxes.get(s)
                 if box is not None and len(box) > 1:
                     boxes[s] = dict(sorted(box.items()))
             if lag == 0:
                 deliver(fed, boxes)
-            live = self.live[lag]
             sends = step_parties(programs, states, live, k, boxes)
-            self.live[lag] = [s for s in live if programs[s].finished(states[s]) is None]
-            nxt = inboxes.setdefault(k + 1, {})
+            nxt = inboxes.setdefault(k + 1, {}) if sends else None
             for send in sends:
-                _route_check(size, *send)
-                if send[1] in external:
+                src, dst, payload = send
+                _route_check(size, src, dst, payload)
+                if dst in external:
                     boundary.append(send)
                 else:
-                    nxt.setdefault(send[1], {})[send[0]] = send[2]
+                    nxt.setdefault(dst, {})[src] = payload
+            still_running = []
+            for s in live:
+                if programs[s].finished(states[s]) is None:
+                    still_running.append(s)
+            live_by_lag[lag] = still_running
         return boundary
 
 
@@ -412,11 +425,11 @@ class RingBridge(AdversaryStrategy):
 
     def __init__(self, ring: RingNetwork, slots: dict[int, int]):
         self.ring = ring
-        self.mapping = dict(slots)  # honest party -> slot
         self.corrupted = frozenset(range(3)) - frozenset(slots)
         self.external = {slot: h for h, slot in slots.items()}
         size = ring.size
-        self.in_bridge: dict[tuple[int, int], int] = {}
+        # real edge (honest party, corrupted role) -> (its slot, virtual slot)
+        self.bridge: dict[tuple[int, int], tuple[int, int]] = {}
         for slot, h in self.external.items():
             for v in ((slot - 1) % size, (slot + 1) % size):
                 if v in self.external:
@@ -424,7 +437,8 @@ class RingBridge(AdversaryStrategy):
                 role = v % 3
                 if role not in self.corrupted:
                     raise ConfigError("honest window mapping broke role alignment")
-                self.in_bridge[(h, role)] = v
+                self.bridge[(h, role)] = (slot, v)
+        self.cone = _light_cone(size, self.external)
 
     def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput | SampledRingInput, int]:
         """Ring input w and execution seed of the simulated slots."""
@@ -432,15 +446,20 @@ class RingBridge(AdversaryStrategy):
 
     def init(self, ctx: AdversaryContext):
         w, seed = self.ring_input(ctx)
-        return VirtualRing(self.ring, w, seed, self.external)
+        return VirtualRing(self.ring, w, seed, self.external, self.cone)
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
         # traffic between corrupted parties has no bridge; nothing to simulate
-        fed = [(self.mapping[src], self.in_bridge[(src, dst)], payload)
-               for (src, dst), payload in inbound.items() if (src, dst) in self.in_bridge]
-        boundary = vring.step(round_no, fed)
-        return vring, {(vslot % 3, self.external[ext_slot]): payload
-                       for vslot, ext_slot, payload in boundary}
+        bridge, external = self.bridge, self.external
+        fed = []
+        for edge, payload in inbound.items():
+            if edge in bridge:
+                real_slot, vslot = bridge[edge]
+                fed.append((real_slot, vslot, payload))
+        outbound = {}
+        for vslot, ext_slot, payload in vring.step(round_no, fed):
+            outbound[(vslot % 3, external[ext_slot])] = payload
+        return vring, outbound
 
 
 class NeighborEmbeddingAdversary(RingBridge):

@@ -60,6 +60,7 @@ class ExchangeProgram(PartyProgram):
         self.n = n
         self.me = me
         self.op = op  # "xor" | "or"
+        self.peers = tuple(j for j in range(n) if j != me)
 
     def init(self, input_bytes, coins):
         return ("init", _bit(input_bytes))
@@ -68,7 +69,7 @@ class ExchangeProgram(PartyProgram):
         phase, bit = state[0], state[1]
         if phase == "init":
             payload = bytes([bit])
-            return ("sent", bit), {j: payload for j in range(self.n) if j != self.me}
+            return ("sent", bit), dict.fromkeys(self.peers, payload)
         if phase == "sent":
             if self.op == "xor":
                 out = bit
@@ -108,22 +109,27 @@ class EchoXorProgram(PartyProgram):
         self.n = n
         self.me = me
         self.echoes = echoes
+        self.peers = tuple(j for j in range(n) if j != me)
 
     def init(self, input_bytes, coins):
         # state: (calls_done, own bit, belief vector, output)
         return (0, _bit(input_bytes), None, None)
 
     def _broadcast(self, payload: bytes) -> dict[int, bytes]:
-        return {j: payload for j in range(self.n) if j != self.me}
+        return dict.fromkeys(self.peers, payload)
 
     def _resolved(self, beliefs: tuple, inbox: dict[int, bytes]) -> tuple:
+        echoes = [p for p in inbox.values() if len(p) == self.n]
+        if not echoes:
+            return beliefs
         out = list(beliefs)
-        for j in range(self.n):
-            if j == self.me:
-                continue
-            claims = [p[j] & 1 for p in inbox.values() if len(p) == self.n]
-            if claims and len(set(claims)) == 1 and claims[0] != out[j]:
-                out[j] = claims[0]
+        for j in self.peers:
+            claim = echoes[0][j] & 1
+            for p in echoes[1:]:
+                if p[j] & 1 != claim:
+                    break
+            else:
+                out[j] = claim
         return tuple(out)
 
     def step(self, state, round_no, inbox):

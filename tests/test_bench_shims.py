@@ -38,3 +38,29 @@ def test_every_dominance_metric_has_a_value():
     dominance = {k: v for k, v in metrics.items() if k.startswith("dominance.")}
     assert len(dominance) >= 5
     assert [k for k, v in dominance.items() if v is None] == []
+
+
+def _traced_run(kind, cfg):
+    from ringbreak.cli import run_config
+
+    spans = _load_spans()
+    with spans.traced(spans.Tracer()) as tracer:
+        report, _code, _csv = run_config(kind, cfg)
+    return report, tracer.counters
+
+
+def test_traced_attack_counts_reproduce_the_report():
+    # the shims count online runs at cli.run_with_adversary and delta trials
+    # at netsim.check_consistency; a hot path that bypasses either fails here
+    report, c = _traced_run("attack", {"protocol": "echo_xor:2", "n": 3, "t": 1, "trials": 30,
+                                       "seed": 5, "delta_trials": 100})
+    assert report["success"] > 0 and report["delta_hat"] > 0
+    assert (c["online_ran"], c["online_success"]) == (report["ran"], report["success"])
+    assert c["inconsistent"] / c["consistency_checks"] == report["delta_hat"]
+
+
+def test_traced_consistency_counts_reproduce_the_report():
+    report, c = _traced_run("consistency", {"protocol": "echo_xor:2", "trials": 100, "seed": 11})
+    assert report["pooled_failures"] > 0
+    assert (c["consistency_checks"], c["inconsistent"]) == (report["pooled_trials"],
+                                                            report["pooled_failures"])

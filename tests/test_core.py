@@ -72,6 +72,12 @@ class TestCoinStream:
         with pytest.raises(ValueError):
             CoinStream(1, b"x").read(-1, 4)
 
+    @pytest.mark.parametrize("reader", ["byte", "bit", "u64", "uniform"])
+    @pytest.mark.parametrize("position", [-1, -8, -33])
+    def test_negative_positions_are_refused(self, reader, position):
+        with pytest.raises(ValueError, match="negative coin read"):
+            getattr(CoinStream(1, b"x"), reader)(position)
+
     @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=80))
     def test_read_slices_agree(self, offset, n):
         s = CoinStream(1234, b"hyp")
@@ -99,6 +105,30 @@ class TestCoinStream:
         want = int.from_bytes(self._loop_read(99, b"loop", offset, 8), "little")
         assert s.u64(offset) == want
         assert s.uniform(offset) == want / 2.0**64
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.binary(max_size=12))
+    def test_every_reader_agrees_with_read(self, seed, label):
+        # each reader on a fresh stream, so each one hashes its first block
+        # itself; offsets 25..31 put 8 bytes across two blocks
+        def fresh():
+            return CoinStream(seed, label)
+
+        whole = fresh().read(0, 256 + 8)
+        for offset in range(257):
+            want = int.from_bytes(whole[offset:offset + 8], "little")
+            assert fresh().byte(offset) == whole[offset]
+            assert fresh().bit(offset) == (whole[offset // 8] >> (offset % 8)) & 1
+            assert fresh().u64(offset) == want
+            assert fresh().uniform(offset) == want / 2.0**64
+
+    @pytest.mark.parametrize("seed,label,idx", [(0, b"", 0), (1, b"p/0", 0), (7, b"ring/5", 3),
+                                                (2**64 - 1, b"hybrid-branch", 9)])
+    def test_blocks_are_sha256_of_seed_label_and_index(self, seed, label, idx):
+        block = hashlib.sha256(b"ringbreak-coins" + seed.to_bytes(8, "little")
+                               + len(label).to_bytes(4, "little") + label
+                               + idx.to_bytes(8, "little")).digest()
+        assert CoinStream(seed, label).read(32 * idx, 32) == block
+        assert CoinStream(seed, label).u64(32 * idx + 24) == int.from_bytes(block[24:], "little")
 
     def test_u64_at_every_block_position(self):
         s = CoinStream(5, b"pos")

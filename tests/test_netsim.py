@@ -170,7 +170,8 @@ class TestStrictEnforcement:
 
 
 class TestTopology:
-    @pytest.mark.parametrize("dst", [2, 3, -1], ids=["self", "n", "negative"])
+    @pytest.mark.parametrize("dst", [2, 3, -1, "1", True, 1.0],
+                             ids=["self", "n", "negative", "str", "bool", "float"])
     def test_send_off_the_complete_graph_raises(self, dst):
         class Stray(AdversaryStrategy):
             corrupted = frozenset({2})

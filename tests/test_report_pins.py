@@ -68,10 +68,17 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,cfg,digest", PINNED,
-    ids=[f"{kind}-{cfg.get('protocol') or cfg.get('builtin')}-{cfg.get('seed', 0)}"
-         for kind, cfg, _ in PINNED])
+IDS = [f"{kind}-{cfg.get('protocol') or cfg.get('builtin')}-{cfg.get('seed', 0)}"
+       for kind, cfg, _ in PINNED]
+
+
+def test_pin_ids_are_unique():
+    # pytest would rename a repeated id to ...-4_0 / ...-4_1, silently
+    # renaming a pinned test; a new row needs a new kind, protocol or seed
+    assert sorted(i for i in IDS if IDS.count(i) > 1) == []
+
+
+@pytest.mark.parametrize("kind,cfg,digest", PINNED, ids=IDS)
 def test_report_bytes_pinned(kind, cfg, digest):
     report, _code, _csv = run_config(kind, dict(cfg))
     assert hashlib.sha256(render_report(report)).hexdigest() == digest

@@ -180,6 +180,18 @@ class TestRingEmulation:
                               overrides={near: ByteSpewerProgram(3, near % 3)})
         assert node_view(base, 0) != node_view(mutant, 0)
 
+    def test_slot_refuses_a_non_neighbour_and_an_unmapped_local_id(self):
+        ring = RingNetwork(make_xor_exchange(3), 2)
+        slot = ring.slot_programs[1]  # role 1, between slots 0 and 2
+        state = slot.init(bytes(8), CoinStream(1, b"x"))
+        assert slot.step(state, 1, {0: b"\x01", 2: b"\x00"})[1] == {0: b"\x00", 2: b"\x00"}
+        with pytest.raises(TopologyViolation, match="slot 1 received from non-neighbor 4"):
+            slot.step(state, 1, {0: b"\x01", 4: b"\x00"})
+        # a role program that sends to its own local id has no ring edge for it
+        self_send = RingSlotProgram(make_one_send(3, lambda i: i).programs[1], 1, ring.size)
+        with pytest.raises(SpecViolation, match="slot 1 sent to unmapped local id 1"):
+            self_send.step(self_send.init(bytes(8), CoinStream(1, b"x")), 1, {})
+
 
 class TestPhase1:
     def test_strict_deterministic(self):
@@ -492,9 +504,10 @@ class TestNPartyAttack:
 
 class FullVirtualRing:
     """Reference bridge simulator: steps every simulated slot once per real
-    round, the way the ring itself runs, with no light cone."""
+    round, the way the ring itself runs, with no light cone (so `cone` is
+    not read)."""
 
-    def __init__(self, ring, entries, seed, external):
+    def __init__(self, ring, entries, seed, external, cone=None):
         self.external = external
         self.programs = {s: ring.slot_programs[s] for s in range(ring.size) if s not in external}
         self.states = {s: p.init(entries[s].input, entries[s].coins(seed))
