@@ -29,6 +29,7 @@ from .core import (
     ConfigError,
     JointInput,
     SpecViolation,
+    TopologyViolation,
     coalition_size,
     derive_seed,
     is_int,
@@ -44,8 +45,8 @@ from .dominance import (
     make_table,
     verify_weak_implies_strong,
 )
-from .netsim import (estimate_consistency, run_with_adversary, shutdown_pool, tally,
-                     validate_spec)
+from .netsim import (estimate_consistency, require_estimate_trials, run_with_adversary,
+                     shutdown_pool, tally, validate_spec)
 from .reports import make_report, write_csv, write_report
 from .ring import (
     attack_geometry,
@@ -53,6 +54,7 @@ from .ring import (
     attack_ring_size,
     embedding_family,
     partition_to_three,
+    require_iterations,
     three_party_form,
 )
 from .stats import attack_verdict, delta_budget, proportion_sigma
@@ -109,14 +111,20 @@ def _load_table(cfg: dict) -> FunctionTable:
 
 # ---------------------------------------------------------------- attack
 
+def _build_attack(spec, cfg: dict, tseed: int):
+    return attack_n_party(spec, cfg["t"], tuple(cfg["corrupt"]), tseed, variant=cfg["variant"],
+                          q_expected=cfg["q_expected"], z=cfg["z"])
+
+
 def _attack_trial(ctx: tuple, i: int) -> list[tuple]:
     """Keys of attack trial i: ("aborts",) alone when phase 1 aborted, else
     ("ran",), ("y*", hex), ("success",) when every honest output is y*, and
-    ("party", pid, outcome) per honest party."""
-    spec, cfg = ctx
+    ("party", pid, outcome) per honest party. The attack is the one in ctx
+    when the run built it once, else built for this trial."""
+    spec, cfg, atk = ctx
     tseed = derive_seed(cfg["seed"], "attack-trial", i)
-    atk = attack_n_party(spec, cfg["t"], tuple(cfg["corrupt"]), tseed, variant=cfg["variant"],
-                         q_expected=cfg["q_expected"], z=cfg["z"])
+    if atk is None:
+        atk = _build_attack(spec, cfg, tseed)
     if atk.phase1.aborted:
         return [("aborts",)]
     joint = JointInput.sample(spec, derive_seed(tseed, "inputs"))
@@ -149,9 +157,17 @@ def cmd_attack(cfg: dict, jobs: int = 1):
     trials = cfg["trials"]
     if trials < 1:
         raise ConfigError("need at least one trial")
+    if cfg["delta_trials"] is not None:
+        require_estimate_trials(cfg["delta_trials"])
+    if cfg["variant"] == "expected":
+        require_iterations(cfg["z"])
     spec3 = three_party_form(spec, partition_to_three(n, t, corrupt))
 
-    counts = tally(_attack_trial, (spec, cfg), trials, jobs)
+    # phase 1 runs on fixed inputs, so without coins it is the same run in
+    # every trial: build the attack once, from trial 0's seed
+    atk = (_build_attack(spec, cfg, derive_seed(cfg["seed"], "attack-trial", 0))
+           if spec3.coin_free else None)
+    counts = tally(_attack_trial, (spec, cfg, atk), trials, jobs)
     success, ran, aborts = (counts[(k,)] for k in ("success", "ran", "aborts"))
     y_hist = {key[1]: c for key, c in counts.items() if key[0] == "y*"}
     outcomes: Counter = Counter()
@@ -520,7 +536,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except SpecViolation as e:
+    except (SpecViolation, TopologyViolation) as e:
         print(f"contract violation: {e}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as e:

@@ -221,6 +221,26 @@ class CoinStream:
         return f"CoinStream(seed={self.seed:#x}, label={self.label!r})"
 
 
+class NoCoins:
+    """The one coin stream every party of a coin-free protocol is handed.
+
+    The protocol declared that no party reads a coin, so every read raises
+    `SpecViolation` naming it; `sublabel` returns the stream itself, so a
+    fused party hands it on to its members.
+    """
+
+    def __init__(self, protocol: str):
+        self.protocol = protocol
+
+    def _refuse(self, *_args) -> None:
+        raise SpecViolation(f"{self.protocol}: declared coin_free, but a party read a coin")
+
+    read = byte = bit = u64 = uniform = _refuse
+
+    def sublabel(self, extra: bytes) -> "NoCoins":
+        return self
+
+
 class PartyProgram:
     """Deterministic per-party state machine.
 
@@ -319,14 +339,22 @@ class FusedInput(InputDomain):
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A complete n-party protocol: programs, round bound, input domains."""
+    """A complete n-party protocol: programs, round bound, input domains.
+
+    `coin_free` declares that no party ever reads its coins. Runs then hand
+    every party `no_coins`, so a read breaks the contract (`SpecViolation`)
+    instead of drawing coins the declaration said are never drawn.
+    """
 
     name: str
     programs: tuple[PartyProgram, ...]
     round_bound: RoundBound
     domains: tuple[InputDomain, ...]
+    coin_free: bool = False
     # the party count, read on every routed message: set once, not compared
     n: int = field(init=False, repr=False, compare=False)
+    # the coin stream of every party of a coin-free protocol, else None
+    no_coins: Optional[NoCoins] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.programs) < 2:
@@ -334,6 +362,7 @@ class ProtocolSpec:
         if len(self.domains) != len(self.programs):
             raise ValueError("one input domain per party")
         object.__setattr__(self, "n", len(self.programs))
+        object.__setattr__(self, "no_coins", NoCoins(self.name) if self.coin_free else None)
 
     @property
     def q(self) -> int:

@@ -173,9 +173,10 @@ def _execute(
     halt_rounds: list[Optional[int]] = [None] * n
     probe_violations: list[str] = []
     honest_ids = [i for i in range(n) if i not in corrupted]
+    no_coins = spec.no_coins
     for i in honest_ids:
         prog, entry = programs[i], joint.entries[i]
-        states[i] = prog.init(entry.input, entry.coins(seed))
+        states[i] = prog.init(entry.input, no_coins or entry.coins(seed))
         fin = prog.finished(states[i])
         if fin is not None:
             outcomes[i] = fin
@@ -420,6 +421,12 @@ def _consistency_trial(ctx: tuple, k: int) -> tuple:
     return () if check_consistency(res) else (a_idx,)
 
 
+def require_estimate_trials(trials: int) -> None:
+    """Refuse a delta estimate of fewer than 100 trials per adversary."""
+    if trials < 100:
+        raise ConfigError("need at least 100 trials for a meaningful estimate")
+
+
 def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[AdversaryStrategy],
                          trials: int, seed: int, *, jobs: int = 1) -> ConsistencyReport:
     """Monte-Carlo estimate of the inconsistency rate delta against a family.
@@ -428,8 +435,7 @@ def estimate_consistency(spec: ProtocolSpec, adversary_family: Sequence[Adversar
     trial gets an independently derived seed, so the whole report is a pure
     function of (spec, family, trials, seed), whatever `jobs` is.
     """
-    if trials < 100:
-        raise ConfigError("need at least 100 trials for a meaningful estimate")
+    require_estimate_trials(trials)
     pooled_total = len(adversary_family) * trials
     failures = tally(_consistency_trial, (spec, adversary_family, trials, seed),
                      pooled_total, jobs)

@@ -258,6 +258,12 @@ def phase1_strict(spec3: ProtocolSpec, seed: int) -> AttackPhase1Result:
     return phase1
 
 
+def require_iterations(z: int) -> None:
+    """Refuse an expected-variant phase 1 of fewer than one iteration."""
+    if z < 1:
+        raise ConfigError("need z >= 1 iterations")
+
+
 def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> AttackPhase1Result:
     """Repeat the offline ring run until P* halts within m rounds.
 
@@ -266,8 +272,7 @@ def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> 
     each iteration succeeds with probability at least 1/2 for a protocol with
     expected round complexity q_expected, and Pr[abort] <= 2^-z.
     """
-    if z < 1:
-        raise ConfigError("need z >= 1 iterations")
+    require_iterations(z)
     return _phase1(spec3, "expected", q_expected, z, seed)
 
 
@@ -330,7 +335,8 @@ class VirtualRing:
     the real parties are fed in as sends from those slots, and the sends the
     simulated slots address to them are returned for the adversary to deliver
     over real channels. `w` and `seed` give every slot's input and coins (the
-    external slots' entries are not read). `cone` is the `_light_cone` of the
+    external slots' entries are not read; the slots of a coin-free protocol
+    all get its `no_coins`). `cone` is the `_light_cone` of the
     external slots; by default the observed slots are their simulated
     neighbours.
 
@@ -354,6 +360,7 @@ class VirtualRing:
         self.external = external  # slot -> real party id
         self.layers, self.out_of_order = _light_cone(ring.size, external) if cone is None else cone
         self.programs = ring.slot_programs  # one per slot, indexed by slot
+        self.no_coins = ring.spec3.no_coins
         self.states: dict[int, object] = {}
         self.live: list[list[int]] = [[] for _ in self.layers]  # per lag, unhalted slots
         self.inboxes: dict[int, dict[int, dict[int, bytes]]] = {}  # step -> receiver -> inbox
@@ -361,11 +368,11 @@ class VirtualRing:
 
     def _start(self, lag: int) -> None:
         w, seed, programs, states = self.w, self.seed, self.programs, self.states
-        live = self.live[lag]
+        live, no_coins = self.live[lag], self.no_coins
         for s in self.layers[lag]:
             entry = w[s]
             prog = programs[s]
-            state = states[s] = prog.init(entry.input, entry.coins(seed))
+            state = states[s] = prog.init(entry.input, no_coins or entry.coins(seed))
             if prog.finished(state) is None:
                 live.append(s)
 
@@ -637,6 +644,7 @@ def fuse_parties(spec: ProtocolSpec, partition: Partition) -> ProtocolSpec:
         programs=programs,
         round_bound=spec.round_bound,
         domains=domains,
+        coin_free=spec.coin_free,
     )
 
 

@@ -186,32 +186,32 @@ class GeomHaltProgram(PartyProgram):
 
 
 def _uniform(name: str, n: int, program: Callable[[int], PartyProgram],
-             bound: RoundBound, domain: InputDomain) -> ProtocolSpec:
+             bound: RoundBound, domain: InputDomain, coin_free: bool = False) -> ProtocolSpec:
     """n parties, party i running program(i), all with one input domain."""
     return ProtocolSpec(name=name, programs=tuple(program(i) for i in range(n)),
-                        round_bound=bound, domains=(domain,) * n)
+                        round_bound=bound, domains=(domain,) * n, coin_free=coin_free)
 
 
 def make_const(n: int, c: int) -> ProtocolSpec:
     if not 0 <= c <= 255:
         raise ValueError(f"constant {c} is not a byte value 0..255")
     return _uniform(f"const:{c}", n, lambda i: ConstProgram(n, i, c),
-                    RoundBound("strict", 1), RawInput(INPUT_BYTES))
+                    RoundBound("strict", 1), RawInput(INPUT_BYTES), coin_free=True)
 
 
 def make_xor_exchange(n: int) -> ProtocolSpec:
     return _uniform("xor_exchange", n, lambda i: ExchangeProgram(n, i, "xor"),
-                    RoundBound("strict", 1), BitInput(INPUT_BYTES))
+                    RoundBound("strict", 1), BitInput(INPUT_BYTES), coin_free=True)
 
 
 def make_or_exchange(n: int) -> ProtocolSpec:
     return _uniform("or_exchange", n, lambda i: ExchangeProgram(n, i, "or"),
-                    RoundBound("strict", 1), BitInput(INPUT_BYTES))
+                    RoundBound("strict", 1), BitInput(INPUT_BYTES), coin_free=True)
 
 
 def make_echo_xor(n: int, echoes: int) -> ProtocolSpec:
     return _uniform(f"echo_xor:{echoes}", n, lambda i: EchoXorProgram(n, i, echoes),
-                    RoundBound("strict", echoes + 1), BitInput(INPUT_BYTES))
+                    RoundBound("strict", echoes + 1), BitInput(INPUT_BYTES), coin_free=True)
 
 
 def make_fair_coin(n: int) -> ProtocolSpec:
@@ -229,7 +229,8 @@ def make_geom_halt(n: int, p: float) -> ProtocolSpec:
 # const: everyone outputs the byte c; xor_exchange / or_exchange: one pairwise
 # bit exchange, output the XOR / OR; echo_xor: the exchange plus `echoes`
 # echo-and-resolve rounds; fair_coin: a fresh coin bit per party, output the
-# XOR; geom_halt: halt each round with probability p
+# XOR; geom_halt: halt each round with probability p. Only fair_coin and
+# geom_halt read coins; the others declare coin_free
 ZOO: Catalog = {
     "const": ((("c", int),), make_const),
     "xor_exchange": ((), make_xor_exchange),

@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,8 @@ import ringbreak.coinflip as coinflip
 import ringbreak.netsim as netsim
 import ringbreak.ring as ring
 from ringbreak.cli import main
-from ringbreak.core import ConfigError, derive_seed
+from ringbreak.core import ConfigError, SpecViolation, TopologyViolation, derive_seed
+from ringbreak.reports import render_report
 from ringbreak.ring import attack_n_party
 from ringbreak.zoo import make_spec
 
@@ -69,6 +71,8 @@ class TestAttack:
         assert "exceeds 4096 byte cap" in capsys.readouterr().err
 
     def test_builds_one_attack_per_trial(self, tmp_path, monkeypatch):
+        # a protocol that reads coins gets a phase 1 of its own per trial; a
+        # coin-free one runs the same phase 1 in every trial, so it is built once
         calls = []
         real = cli.attack_n_party
 
@@ -77,10 +81,47 @@ class TestAttack:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "attack_n_party", counting)
-        code, _ = run(tmp_path, "attack", "--protocol", "const:1", "--t", "1",
-                      "--trials", "7", "--seed", "2", "--jobs", "1")
-        assert code == 0
-        assert len(calls) == 7
+        for protocol, builds in (("fair_coin", 7), ("const:1", 1)):
+            calls.clear()
+            code, _ = run(tmp_path, "attack", "--protocol", protocol, "--t", "1",
+                          "--trials", "7", "--delta-trials", "100", "--seed", "2",
+                          "--jobs", "1")
+            assert code in (0, 1)
+            assert len(calls) == builds, protocol
+            assert calls[0][3] == derive_seed(2, "attack-trial", 0)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta-trials", "5"], "need at least 100 trials for a meaningful estimate"),
+        (["--variant", "expected", "--z", "0"], "need z >= 1 iterations"),
+    ], ids=["delta-trials", "z"])
+    def test_bad_flags_are_refused_before_any_trial(self, flags, message, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("an attack was built")
+
+        monkeypatch.setattr(cli, "attack_n_party", never)
+        code = main(["attack", "--protocol", "echo_xor:2", "--t", "1", "--trials", "4000",
+                     "--seed", "1", *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # every coin-free zoo protocol at n=3, and fused groups of three at n=9
+    COIN_FREE_CONFIGS = [
+        *[{"protocol": p, "n": 3, "t": 1}
+          for p in ("const:1", "xor_exchange", "or_exchange", "echo_xor:2")],
+        {"protocol": "echo_xor:2", "n": 3, "t": 1, "variant": "expected", "z": 2},
+        *[{"protocol": p, "n": 9, "t": 3} for p in ("or_exchange", "xor_exchange")],
+    ]
+
+    @pytest.mark.parametrize(
+        "cfg", COIN_FREE_CONFIGS,
+        ids=lambda c: f"{c['protocol']}-n{c['n']}-{c.get('variant', 'strict')}")
+    def test_one_build_reports_what_a_build_per_trial_does(self, cfg, monkeypatch):
+        cfg = {**cfg, "trials": 12, "delta_trials": 100, "seed": 4}
+        hoisted = render_report(cli.run_config("attack", dict(cfg))[0])
+        real = cli.make_spec
+        monkeypatch.setattr(cli, "make_spec",
+                            lambda *a: replace(real(*a), coin_free=False))
+        assert render_report(cli.run_config("attack", dict(cfg))[0]) == hoisted
 
     def test_ring_geometry_is_trial_zeros(self, tmp_path):
         # m, q and P* in the report are those of trial 0's phase-1 ring
@@ -289,19 +330,35 @@ def _config_error_trial(ctx, i):
     raise ConfigError("raised in a worker")
 
 
+def _spec_violation_trial(ctx, i):
+    raise SpecViolation("raised in a worker")
+
+
 def test_errors_cross_the_pool_with_their_exit_codes(monkeypatch, capsys):
-    # at n=27 a fused echo_xor:2 bundle breaks the message cap in every trial
-    code = main(["attack", "--protocol", "echo_xor:2", "--n", "27", "--t", "9",
-                 "--trials", "4", "--delta-trials", "100", "--seed", "1", "--jobs", "2"])
+    # every attack trial raises SpecViolation, then ConfigError, inside a worker
+    monkeypatch.setattr(cli, "_attack_trial", _spec_violation_trial)
+    code = main(["attack", "--protocol", "const:1", "--t", "1", "--trials", "4",
+                 "--seed", "1", "--jobs", "2"])
     assert code == 1
-    assert "exceeds 4096 byte cap" in capsys.readouterr().err
-    # every attack trial now raises ConfigError inside a worker
+    assert capsys.readouterr().err == "contract violation: raised in a worker\n"
     monkeypatch.setattr(cli, "_attack_trial", _config_error_trial)
     code = main(["attack", "--protocol", "const:1", "--t", "1", "--trials", "4",
                  "--seed", "1", "--jobs", "2"])
     assert code == 2
     assert capsys.readouterr().err == "error: raised in a worker\n"
     assert multiprocessing.active_children() == []
+
+
+def test_topology_violation_is_a_contract_violation(monkeypatch, capsys):
+    def off_graph(ctx, i):
+        raise TopologyViolation("no edge 0->7")
+
+    monkeypatch.setattr(cli, "_attack_trial", off_graph)
+    code = main(["attack", "--protocol", "const:1", "--t", "1", "--trials", "4", "--seed", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contract violation: no edge 0->7\n"
 
 
 COMMON_FLAGS = {"--config", "--report", "--csv", "--jobs"}

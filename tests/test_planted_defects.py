@@ -6,7 +6,9 @@ an unforced row as forced. The deciders' witness recheck reads the table
 without the level, so both must end in an AssertionError. The regime rule
 without its t >= n/2 branch must break the regime grid and c07's or4@(4,2)
 verdict. An attack verdict that always holds, and a ring penalty halved, must
-break the verdict's fixed-count unit test.
+break the verdict's fixed-count unit test. fair_coin wrongly declared
+coin_free must fail `validate_spec` and make its ring attack exit 1, rather
+than let one phase-1 run stand in for every trial's.
 """
 
 from dataclasses import replace
@@ -15,8 +17,11 @@ import pytest
 
 import ringbreak.dominance as dominance
 import ringbreak.stats as stats
+import ringbreak.zoo as zoo
+from ringbreak.cli import main
 from ringbreak.dominance import (CONDITIONAL, classify, is_k_dominated, is_weakly_k_dominated,
                                  or_table, xor_table)
+from ringbreak.netsim import validate_spec
 from support import attack_verdict_disagreements, or_refusal, table_regime_disagreements
 
 
@@ -74,3 +79,12 @@ def test_halved_ring_penalty(monkeypatch):
     real = stats.ring_penalty
     monkeypatch.setattr(stats, "ring_penalty", lambda m, delta_hat: real(m, delta_hat) / 2)
     assert attack_verdict_disagreements() != []
+
+
+def test_coin_reader_declared_coin_free(monkeypatch, capsys):
+    real = zoo.make_fair_coin
+    monkeypatch.setitem(zoo.ZOO, "fair_coin", ((), lambda n: replace(real(n), coin_free=True)))
+    report = validate_spec(zoo.make_spec("fair_coin", 3), trials=3, seed=1)
+    assert report.violations and "declared coin_free" in report.violations[0]
+    assert main(["attack", "--protocol", "fair_coin", "--n", "3", "--t", "1", "--seed", "1"]) == 1
+    assert "fair_coin: declared coin_free" in capsys.readouterr().err

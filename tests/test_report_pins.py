@@ -4,7 +4,8 @@ Each row is one experiment config and the sha256 of its rendered report.
 The first attack, the const:1 coinflip attack and the xor_exchange
 consistency rows are the configs of acceptance criterion c10; the rest cover
 every subcommand, fused groups of three (or_exchange at n=9, t=3), the
-expected-round attack variant and a coin-flip attack at n=6. A changed
+expected-round attack variant, a coin-free attack whose phase 1 aborts and a
+coin-flip attack at n=6. A changed
 digest means the reports changed: that has to be a deliberate, documented
 decision, never a side effect.
 """
@@ -65,6 +66,13 @@ PINNED = [
     ("coinflip", {"protocol": "fair_coin", "n": 6, "mode": "attack", "trials": 1000,
                   "seed": 6},
      "37ba5b085706cecf20ab4eec2b6157734f566840ad58dc323262f4246a49ab2c"),
+    # a coin-free expected-variant attack whose phase 1 aborts: at q_expected
+    # 1 the ring's round cap ends before echo_xor:8's far slot halts, so all
+    # 50 trials abort and it exits 1 (digest recorded while every trial still
+    # built its own phase 1)
+    ("attack", {"protocol": "echo_xor:8", "n": 3, "t": 1, "trials": 50, "variant": "expected",
+                "q_expected": 1, "z": 3, "seed": 2},
+     "baa32eb8374fdbcf14590766a2c35c1c74c3fce89b689b8ce1d141ad9a47a92e"),
 ]
 
 

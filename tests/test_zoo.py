@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringbreak.core import ConfigError, JointEntry, JointInput, derive_seed
 from ringbreak.netsim import run_honest, validate_spec
+from ringbreak.ring import fuse_parties, partition_to_three
 from ringbreak.zoo import (
     ZOO,
     make_echo_xor,
@@ -136,20 +137,35 @@ class TestCoinFlash:
             assert res.outcomes[i] == bytes([joint[i].coins(5).bit(0)])
 
 
+# one selector per zoo entry, and whether the entry declares coin_free
+SELECTORS = {
+    "const": ("const:3", True),
+    "xor_exchange": ("xor_exchange", True),
+    "or_exchange": ("or_exchange", True),
+    "echo_xor": ("echo_xor:2", True),
+    "fair_coin": ("fair_coin", False),
+    "geom_halt": ("geom_halt:0.5", False),
+}
+
+
 class TestCatalog:
     def test_every_entry_validates(self):
-        selectors = {
-            "const": "const:3",
-            "xor_exchange": "xor_exchange",
-            "or_exchange": "or_exchange",
-            "echo_xor": "echo_xor:2",
-            "fair_coin": "fair_coin",
-            "geom_halt": "geom_halt:0.5",
-        }
-        assert set(selectors) == set(ZOO)
-        for sel in selectors.values():
+        assert set(SELECTORS) == set(ZOO)
+        for sel, _ in SELECTORS.values():
             rep = validate_spec(make_spec(sel, 3), trials=6, seed=2)
             assert rep.ok, (sel, rep.violations)
+
+    @pytest.mark.parametrize("sel, coin_free", SELECTORS.values(), ids=list(SELECTORS))
+    def test_coin_free_declaration(self, sel, coin_free):
+        spec = make_spec(sel, 9)
+        assert spec.coin_free is coin_free
+        # the fused 3-party form declares what the protocol it fuses does
+        fused = fuse_parties(spec, partition_to_three(9, 3, (6, 7, 8)))
+        assert fused.coin_free is coin_free
+        # a coin-free run hands every party a stream that refuses reads, so
+        # two more seeds of honest runs put the declaration to the test
+        for seed in (3, 4):
+            assert validate_spec(spec, trials=4, seed=seed).ok, (sel, seed)
 
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
