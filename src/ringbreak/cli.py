@@ -159,12 +159,14 @@ def cmd_attack(cfg: dict, jobs: int = 1):
         raise ConfigError("need at least one trial")
     if cfg["delta_trials"] is not None:
         require_estimate_trials(cfg["delta_trials"])
-    if cfg["variant"] == "expected":
-        require_iterations(cfg["z"])
+    # z is embedded in every attack's config, so it is checked for both variants
+    require_iterations(cfg["z"])
     spec3 = three_party_form(spec, partition_to_three(n, t, corrupt))
 
     # phase 1 runs on fixed inputs, so without coins it is the same run in
-    # every trial: build the attack once, from trial 0's seed
+    # every trial: build the attack once, from trial 0's seed. Its adversary
+    # is context-free, so run_with_adversary runs each distinct honest input
+    # vector once against it
     atk = (_build_attack(spec, cfg, derive_seed(cfg["seed"], "attack-trial", 0))
            if spec3.coin_free else None)
     counts = tally(_attack_trial, (spec, cfg, atk), trials, jobs)

@@ -166,10 +166,16 @@ def bias_attack(spec: ProtocolSpec, corrupted: tuple[int, ...], kappa: int, seed
     """Search for a forcing adversary whose pre-committed value is not
     `exclude`, redoing the offline ring phase with fresh seeds up to kappa
     times. Aborting is a result, not an error.
+
+    Without coins every attempt is the same run, so the attack on a
+    coin-free protocol (whose fused 3-party form is coin-free too) is built
+    once and stands for every attempt.
     """
     corrupt, t = _bias_coalition(spec.n, corrupted, kappa)
+    atk = None
     for attempt in range(1, kappa + 1):
-        atk = attack_n_party(spec, t, corrupt, derive_seed(seed, "bias-attack", attempt))
+        if atk is None or not spec.coin_free:
+            atk = attack_n_party(spec, t, corrupt, derive_seed(seed, "bias-attack", attempt))
         y = atk.y_star
         if y not in (b"\x00", b"\x01"):
             raise ConfigError(

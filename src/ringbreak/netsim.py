@@ -11,6 +11,11 @@ only in rounds whose sends an honest party can read: it is not called in a
 round after which no honest party runs, nor in the flush round past the cap,
 so its sends there are never computed or route-checked.
 
+A coin-free protocol facing a `context_free` adversary runs the same way
+whenever the honest parties' inputs are the same: nothing else reaches
+them. `run_with_adversary` computes each such run once per adversary and
+honest inputs, and hands the same result to every later call.
+
 `tally` is every Monte-Carlo trial loop: it counts the keys a per-trial
 function returns, over `trial_chunks` mapped by `pmap` serially or on one
 reused process pool. `validate_spec` probes a protocol's declared contract
@@ -26,6 +31,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
@@ -44,6 +50,8 @@ from .stats import wilson_interval
 
 MESSAGE_CAP = 4096
 CHUNKS_PER_WORKER = 4
+# distinct runs one context-free adversary keeps (see run_with_adversary)
+RUN_TABLE_CAP = 4096
 
 
 # Transcript record: (round, sender, receiver, payload).
@@ -110,6 +118,23 @@ class AdversaryContext:
         self.seed = seed
 
 
+class SealedContext(AdversaryContext):
+    """The context every `context_free` adversary is handed.
+
+    The adversary declared that `init` reads nothing from its context, so
+    reading a field raises `SpecViolation` naming it, as `NoCoins` does for
+    a coin read under `coin_free`.
+    """
+
+    def __init__(self, adversary: str):
+        self.adversary = adversary
+
+    def _refuse(self) -> None:
+        raise SpecViolation(f"{self.adversary}: declared context_free, but init read its context")
+
+    entries = seed = property(_refuse)
+
+
 class AdversaryStrategy:
     """Round-driven adversary controlling a fixed corrupted set.
 
@@ -119,9 +144,20 @@ class AdversaryStrategy:
     outbound maps directed edges (corrupted sender, receiver) to payloads
     for this round. pre_announce is read once, before any message has been
     seen.
+
+    `context_free` declares that `init` reads nothing from its context (the
+    corrupted parties' inputs and the seed); the engine then hands it a
+    `SealedContext`, and `run_with_adversary` may share one run among calls
+    on a coin-free spec with the same honest inputs.
     """
 
     corrupted: frozenset[int] = frozenset()
+    context_free: bool = False
+
+    @cached_property
+    def runs(self) -> dict[tuple, ExecutionResult]:
+        """This adversary's shared runs, keyed by (spec, honest inputs)."""
+        return {}
 
     def describe(self) -> str:
         return type(self).__name__
@@ -185,7 +221,8 @@ def _execute(
     adv_state = None
     pre_announced = None
     if adversary is not None:
-        ctx = AdversaryContext({i: joint[i] for i in corrupted}, seed)
+        ctx = (SealedContext(type(adversary).__name__) if adversary.context_free
+               else AdversaryContext({i: joint[i] for i in corrupted}, seed))
         adv_state = adversary.init(ctx)
         pre_announced = adversary.pre_announce(adv_state)
 
@@ -300,8 +337,24 @@ def run_with_adversary(spec: ProtocolSpec, adversary: AdversaryStrategy,
     The adversary never observes honest-to-honest traffic; its view is the
     inbound bundles passed to step, which cover exactly the messages addressed
     to corrupted parties.
+
+    When the spec is coin-free, the adversary `context_free` and nothing is
+    recorded, the run depends only on the honest parties' inputs, so it is
+    computed once per (spec, honest inputs) in the adversary's own table
+    (`runs`, at most RUN_TABLE_CAP entries): the result is shared, and
+    callers must only read it.
     """
-    return _execute(spec, joint, seed, adversary=adversary, record=record)
+    if record or not (spec.coin_free and adversary.context_free):
+        return _execute(spec, joint, seed, adversary=adversary, record=record)
+    corrupted = adversary.corrupted
+    key = (spec, tuple([e.input for i, e in enumerate(joint.entries) if i not in corrupted]))
+    runs = adversary.runs
+    res = runs.get(key)
+    if res is None:
+        res = _execute(spec, joint, seed, adversary=adversary)
+        if len(runs) < RUN_TABLE_CAP:
+            runs[key] = res
+    return res
 
 
 def check_consistency(result: ExecutionResult) -> bool:

@@ -508,8 +508,10 @@ class AttackAdversary(RingBridge):
     every remaining slot replays its phase-1 program with the phase-1 coins,
     so the far slot P* is guaranteed to behave exactly as it did offline as
     long as honest influence cannot reach it in time (it sits farther than
-    the round budget allows).
+    the round budget allows). It reads nothing from its context.
     """
+
+    context_free = True
 
     def __init__(self, phase1: AttackPhase1Result, corrupted: frozenset[int]):
         if phase1.aborted:
@@ -528,8 +530,11 @@ class AttackAdversary(RingBridge):
 
 
 def _bundle(triples: Sequence[tuple[int, int, bytes]]) -> bytes:
-    rows = sorted([s, d, p.hex()] for s, d, p in triples)
-    return json.dumps(rows, separators=(",", ":")).encode()
+    """The sorted triples as the JSON text `[[src,dst,"hex"],...]`: the bytes
+    of `json.dumps` with separators (",", ":"), written without an encoder.
+    Hex order is byte order, so sorting the triples sorts the rows."""
+    return b"[%s]" % b",".join([b'[%d,%d,"%s"]' % (s, d, p.hex().encode())
+                                for s, d, p in sorted(triples)])
 
 
 def _unbundle(data: bytes) -> list[tuple[int, int, bytes]]:
@@ -653,8 +658,11 @@ class UnfusedAttackAdversary(AdversaryStrategy):
 
     Bundles the real honest parties' traffic the way their fused super-party
     would, runs the 3-party attack adversary on the bundles, and unpacks its
-    replies onto the real point-to-point edges.
+    replies onto the real point-to-point edges. Like the inner attack, it
+    reads nothing from its context.
     """
+
+    context_free = True
 
     def __init__(self, spec: ProtocolSpec, partition: Partition, inner: AttackAdversary):
         self.spec = spec
@@ -667,7 +675,7 @@ class UnfusedAttackAdversary(AdversaryStrategy):
         return f"nparty-attack[I={sorted(self.corrupted)}]"
 
     def init(self, ctx: AdversaryContext):
-        return self.inner.init(AdversaryContext({}, ctx.seed))
+        return self.inner.init(ctx)
 
     def pre_announce(self, state) -> Optional[bytes]:
         return self.inner.pre_announce(state)

@@ -13,7 +13,8 @@ import ringbreak.coinflip as coinflip
 import ringbreak.netsim as netsim
 import ringbreak.ring as ring
 from ringbreak.cli import main
-from ringbreak.core import ConfigError, SpecViolation, TopologyViolation, derive_seed
+from ringbreak.core import (ConfigError, JointInput, SpecViolation, TopologyViolation,
+                            coalition_size, derive_seed)
 from ringbreak.reports import render_report
 from ringbreak.ring import attack_n_party
 from ringbreak.zoo import make_spec
@@ -93,7 +94,8 @@ class TestAttack:
     @pytest.mark.parametrize("flags, message", [
         (["--delta-trials", "5"], "need at least 100 trials for a meaningful estimate"),
         (["--variant", "expected", "--z", "0"], "need z >= 1 iterations"),
-    ], ids=["delta-trials", "z"])
+        (["--z", "-3"], "need z >= 1 iterations"),
+    ], ids=["delta-trials", "z", "z-strict"])
     def test_bad_flags_are_refused_before_any_trial(self, flags, message, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("an attack was built")
@@ -122,6 +124,53 @@ class TestAttack:
         monkeypatch.setattr(cli, "make_spec",
                             lambda *a: replace(real(*a), coin_free=False))
         assert render_report(cli.run_config("attack", dict(cfg))[0]) == hoisted
+
+    @pytest.mark.parametrize(
+        "cfg", COIN_FREE_CONFIGS,
+        ids=lambda c: f"{c['protocol']}-n{c['n']}-{c.get('variant', 'strict')}")
+    def test_shared_online_run_equals_a_fresh_run(self, cfg):
+        # against the context-free attack a coin-free run depends on the
+        # honest inputs alone: the run shared with other corrupted inputs and
+        # another seed must be the one the engine computes afresh
+        spec = make_spec(cfg["protocol"], cfg["n"])
+        n, t = cfg["n"], cfg["t"]
+        atk = attack_n_party(spec, t, range(n - coalition_size(n, t), n), 4,
+                             variant=cfg.get("variant", "strict"), z=cfg.get("z", 16))
+        adv = atk.adversary
+        for i in range(6):
+            first = JointInput.sample(spec, derive_seed(4, "first", i))
+            other = JointInput.sample(spec, derive_seed(4, "other", i))
+            joint = JointInput(tuple(other[p] if p in adv.corrupted else first[p]
+                                     for p in range(n)))
+            computed = netsim.run_with_adversary(spec, adv, first, derive_seed(4, "seed", i))
+            shared = netsim.run_with_adversary(spec, adv, joint, derive_seed(4, "again", i))
+            fresh = netsim._execute(spec, joint, derive_seed(4, "again", i), adversary=adv)
+            assert shared is computed
+            assert (shared.outcomes, shared.halt_rounds, shared.rounds, shared.pre_announced) \
+                == (fresh.outcomes, fresh.halt_rounds, fresh.rounds, fresh.pre_announced)
+        assert 1 <= len(adv.runs) <= 6
+
+    def test_one_online_run_per_distinct_honest_input(self, monkeypatch):
+        # work pin: at --jobs 1 a coin-free attack runs the engine once per
+        # distinct honest input vector, however many trials draw it
+        online = []
+        real = netsim._execute
+
+        def counting(spec, joint, seed, **kwargs):
+            if isinstance(kwargs.get("adversary"), ring.AttackAdversary):
+                online.append(joint.entries[0].input + joint.entries[1].input)
+            return real(spec, joint, seed, **kwargs)
+
+        monkeypatch.setattr(netsim, "_execute", counting)
+        cfg = {"protocol": "echo_xor:2", "n": 3, "t": 1, "trials": 40, "delta_trials": 100,
+               "seed": 1}
+        assert cli.run_config("attack", dict(cfg))[0]["ran"] == 40
+        spec = make_spec("echo_xor:2", 3)
+        drawn = set()
+        for i in range(40):
+            joint = JointInput.sample(spec, derive_seed(derive_seed(1, "attack-trial", i), "inputs"))
+            drawn.add(joint.entries[0].input + joint.entries[1].input)
+        assert sorted(online) == sorted(drawn) and len(drawn) == 4
 
     def test_ring_geometry_is_trial_zeros(self, tmp_path):
         # m, q and P* in the report are those of trial 0's phase-1 ring
@@ -626,6 +675,23 @@ class TestCoinflipCommand:
                         "--mode", "attack", "--trials", "1000", "--seed", "2")
         assert code == 0
         assert rep["y_star"] == "01" and rep["forced"]["counts"]["1"] == 1000
+
+    @pytest.mark.parametrize("protocol, attempts", [("const:0", 10), ("const:1", 1)])
+    def test_one_bias_build_reports_what_a_build_per_attempt_does(self, protocol, attempts,
+                                                                  monkeypatch):
+        # a coin-free protocol's attempts are all the same run, so the search
+        # builds one attack; attempts and aborted must not move
+        builds = []
+        real_build = coinflip.attack_n_party
+        monkeypatch.setattr(coinflip, "attack_n_party",
+                            lambda *a, **kw: builds.append(a) or real_build(*a, **kw))
+        cfg = {"protocol": protocol, "mode": "attack", "trials": 1000, "kappa": 10, "seed": 1}
+        body = cli.run_config("coinflip", dict(cfg))[0]
+        assert len(builds) == 1 and body["attempts"] == attempts
+        real = cli.make_spec
+        monkeypatch.setattr(cli, "make_spec", lambda *a: replace(real(*a), coin_free=False))
+        assert render_report(cli.run_config("coinflip", dict(cfg))[0]) == render_report(body)
+        assert len(builds) == 1 + attempts
 
     def test_verify_mode_reports_verdict(self, tmp_path):
         code, rep = run(tmp_path, "coinflip", "--protocol", "const:0",

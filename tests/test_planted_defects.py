@@ -8,7 +8,10 @@ without its t >= n/2 branch must break the regime grid and c07's or4@(4,2)
 verdict. An attack verdict that always holds, and a ring penalty halved, must
 break the verdict's fixed-count unit test. fair_coin wrongly declared
 coin_free must fail `validate_spec` and make its ring attack exit 1, rather
-than let one phase-1 run stand in for every trial's.
+than let one phase-1 run stand in for every trial's. The consistency probe,
+which reads its seed, wrongly declared context_free must make `consistency`
+exit 1 through its sealed context, rather than let one probe run stand in for
+every trial with the same honest inputs.
 """
 
 from dataclasses import replace
@@ -16,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 import ringbreak.dominance as dominance
+import ringbreak.ring as ring
 import ringbreak.stats as stats
 import ringbreak.zoo as zoo
 from ringbreak.cli import main
@@ -88,3 +92,9 @@ def test_coin_reader_declared_coin_free(monkeypatch, capsys):
     assert report.violations and "declared coin_free" in report.violations[0]
     assert main(["attack", "--protocol", "fair_coin", "--n", "3", "--t", "1", "--seed", "1"]) == 1
     assert "fair_coin: declared coin_free" in capsys.readouterr().err
+
+
+def test_seed_reader_declared_context_free(monkeypatch, capsys):
+    monkeypatch.setattr(ring.NeighborEmbeddingAdversary, "context_free", True)
+    assert main(["consistency", "--protocol", "echo_xor:2", "--trials", "100", "--seed", "1"]) == 1
+    assert "NeighborEmbeddingAdversary: declared context_free" in capsys.readouterr().err

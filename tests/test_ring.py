@@ -1,8 +1,10 @@
 """Ring composition, locality, bridging adversaries, fusion, n-party attack."""
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ringbreak.ring as ring_module
 from ringbreak.core import (
@@ -376,6 +378,12 @@ class TestBundling:
         data = _bundle(triples)
         assert _unbundle(data) == sorted(triples)
         assert _bundle(reversed(triples)) == data
+
+    @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.binary(max_size=5)),
+                    max_size=8))
+    def test_bytes_are_the_compact_json_of_the_sorted_rows(self, triples):
+        rows = sorted([s, d, p.hex()] for s, d, p in triples)
+        assert _bundle(triples) == json.dumps(rows, separators=(",", ":")).encode()
 
 
 class TestPartition:
