@@ -93,8 +93,8 @@ from .ring import (
     Partition,
     RingNetwork,
     VirtualRing,
+    attack_geometry,
     attack_n_party,
-    attack_ring_size,
     embedding_family,
     fuse_parties,
     partition_to_three,

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import asdict
 from typing import Any, Callable, Optional
 
-from .coinflip import (bias_attack, default_bias_coalition, measure_bias,
+from .coinflip import (bias_attack, default_bias_coalition, measure_bias, require_bias_trials,
                        verify_no_nontrivial_bias)
 from .compiler import (ADVERSARIES, compare_real_ideal, enumerate_decisions, make_adversary,
                        wrap_dominated)
@@ -51,7 +51,6 @@ from .reports import make_report, write_csv, write_report
 from .ring import (
     attack_geometry,
     attack_n_party,
-    attack_ring_size,
     embedding_family,
     partition_to_three,
     require_iterations,
@@ -260,8 +259,7 @@ def cmd_coinflip(cfg: dict, jobs: int = 1):
         body = {"mode": mode, "bias": asdict(rep)}
         counts = rep.counts
     elif mode == "attack":
-        if cfg["trials"] < 1000:
-            raise ConfigError("need at least 1000 trials")
+        require_bias_trials(cfg["trials"])
         atk = bias_attack(spec, tuple(corrupt), cfg["kappa"],
                           derive_seed(cfg["seed"], "bias-search"))
         body = {"mode": mode, "kappa": cfg["kappa"], "aborted": atk.aborted,
@@ -359,7 +357,7 @@ def cmd_consistency(cfg: dict, jobs: int = 1):
     spec = make_spec(_require_protocol(cfg), cfg["n"])
     if spec.n != 3:
         raise ConfigError("the embedding family probes 3-party protocols; use --n 3")
-    m = cfg["m"] if cfg["m"] is not None else attack_ring_size(spec.q, "strict")
+    m = cfg["m"] if cfg["m"] is not None else attack_geometry(spec.q, "strict")[0]
     cfg["m"] = m
     rep = estimate_consistency(spec, embedding_family(spec, m), cfg["trials"], cfg["seed"],
                                jobs=jobs)

@@ -26,7 +26,8 @@ from typing import Optional
 from .core import ConfigError, JointInput, ProtocolSpec, RUNNING, coalition_size, derive_seed
 from .netsim import (AdversaryStrategy, estimate_consistency, run_honest, run_with_adversary,
                      tally)
-from .ring import attack_n_party, attack_ring_size, embedding_family, phase1_strict
+from .ring import (attack_geometry, attack_n_party, embedding_family, phase1_strict,
+                   require_strict)
 from .stats import (delta_budget, proportion_sigma, ring_penalty, statistical_distance,
                     wilson_interval)
 
@@ -91,6 +92,12 @@ def _bias_trial(ctx: tuple, i: int) -> tuple:
     return (_bucket(first),)
 
 
+def require_bias_trials(trials: int) -> None:
+    """Refuse a bias measurement of fewer than 1000 trials."""
+    if trials < 1000:
+        raise ConfigError("need at least 1000 trials")
+
+
 def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
                  trials: int, seed: int, *, forced_value: Optional[bytes] = None,
                  jobs: int = 1) -> Optional[BiasReport]:
@@ -102,8 +109,7 @@ def measure_bias(spec: ProtocolSpec, adversary: Optional[AdversaryStrategy],
     but the measurement stays meaningful for input-dependent outputs too.
     The report does not depend on `jobs`.
     """
-    if trials < 1000:
-        raise ConfigError("need at least 1000 trials")
+    require_bias_trials(trials)
     seen = tally(_bias_trial, (spec, adversary, seed), trials, jobs)
     counts = {b: seen[b] for b in ("0", "1", "other")}
     inconsistent = seen["inconsistent"]
@@ -247,17 +253,15 @@ def verify_no_nontrivial_bias(spec: ProtocolSpec, kappa: int, trials: int, seed:
     of the forced-bucket frequency. `jobs` workers share the delta estimate,
     the pilot and the forced measurement; the verdict does not depend on it.
     """
-    if not spec.round_bound.strict:
-        raise ConfigError("strict attack needs a strict-round protocol")
+    require_strict(spec)
     n = spec.n
     if corrupted is None:
         corrupted = default_bias_coalition(n)
     if n != 3:
         raise ConfigError("the bias verdict is implemented for 3-party protocols")
-    if trials < 1000:
-        raise ConfigError("need at least 1000 trials")
+    require_bias_trials(trials)
     _bias_coalition(n, corrupted, kappa)
-    m = attack_ring_size(spec.q, "strict")
+    m = attack_geometry(spec.q, "strict")[0]
 
     family = embedding_family(spec, m)
     if delta_trials is None:

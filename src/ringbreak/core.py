@@ -369,6 +369,10 @@ class ProtocolSpec:
         return self.round_bound.q
 
 
+# coin-stream bytes between consecutive parties' (or ring slots') sampled inputs
+INPUT_STRIDE = 128
+
+
 @dataclass(frozen=True)
 class JointEntry:
     """One party's fixed execution inputs: input bytes plus a coin label.
@@ -411,7 +415,7 @@ class JointInput:
         entries = []
         for i in range(spec.n):
             entries.append(JointEntry(
-                spec.domains[i].sample(src, offset=128 * i),
+                spec.domains[i].sample(src, offset=INPUT_STRIDE * i),
                 b"p/%d" % i,
             ))
         return JointInput(tuple(entries))

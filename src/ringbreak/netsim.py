@@ -550,8 +550,9 @@ def validate_spec(spec: ProtocolSpec, trials: int, seed: int) -> ValidationRepor
         tseed = derive_seed(seed, "validate", trial)
         joint = JointInput.sample(spec, tseed)
         # strict specs get 2 rounds of headroom past the declared bound so the
-        # post-halt probe actually runs; laggards are caught via halt_rounds
-        cap = (spec.q + 2) if spec.round_bound.strict else 64 * spec.q
+        # post-halt probe actually runs; laggards are caught via halt_rounds.
+        # Expected-round specs run to the engine's default cap
+        cap = (spec.q + 2) if spec.round_bound.strict else None
         try:
             res = run_honest(
                 spec, joint, tseed,

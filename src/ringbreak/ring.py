@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import (
+    INPUT_STRIDE,
     RUNNING,
     CoinStream,
     ConfigError,
@@ -116,9 +117,6 @@ class RingNetwork:
     def size(self) -> int:
         return 3 * self.m
 
-    def slot_of(self, role: int, copy: int) -> int:
-        return 3 * (copy - 1) + role
-
     @cached_property
     def slot_programs(self) -> tuple[RingSlotProgram, ...]:
         """Each slot's role program, wrapped once per ring."""
@@ -136,9 +134,9 @@ class RingNetwork:
 
 class SampledRingInput:
     """A sampled ring input drawn slot by slot: w[s] reads its input at
-    offset 128*s of one coin stream, so a slot that is never read is never
-    drawn, and every slot that is gets the same bytes as an eager draw of
-    the whole ring (`sample_w` in tests/support.py)."""
+    offset INPUT_STRIDE*s of one coin stream, so a slot that is never read
+    is never drawn, and every slot that is gets the same bytes as an eager
+    draw of the whole ring (`sample_w` in tests/support.py)."""
 
     def __init__(self, ring: RingNetwork, seed: int, label_prefix: bytes):
         self.domains = ring.spec3.domains
@@ -146,7 +144,7 @@ class SampledRingInput:
         self.label_prefix = label_prefix
 
     def __getitem__(self, s: int) -> JointEntry:
-        return JointEntry(self.domains[s % 3].sample(self.src, offset=128 * s),
+        return JointEntry(self.domains[s % 3].sample(self.src, offset=INPUT_STRIDE * s),
                           self.label_prefix + b"/%d" % s)
 
 
@@ -157,42 +155,30 @@ def _ring_network(spec3: ProtocolSpec, m: int) -> RingNetwork:
     return RingNetwork(spec3, m)
 
 
-def _best_far_slot(size: int) -> tuple[int, int]:
-    """The lowest slot maximizing the minimal ring distance to the honest
-    window 0..3, and that distance: the middle of the arc from slot 3 round
-    to slot 0, which is size - 3 edges long."""
-    return (size + 3) // 2, (size - 3) // 2
+@lru_cache(maxsize=128)
+def attack_geometry(q: int, variant: str) -> tuple[int, int, int]:
+    """Phase-1 ring for a round budget q: copies m, far slot P* and P*'s
+    distance from the honest window 0..3.
 
-
-def attack_ring_size(q: int, variant: str) -> int:
-    """Number of copies m so the far slot is outside honest influence range.
-
-    Influence travels one hop per round, so the pre-committed slot must sit
-    more than q hops (strict) or m hops (expected, where the cap is m) from
-    every slot a real honest party might occupy.
+    P* is the lowest slot farthest from the window: the middle of the arc
+    from slot 3 round to slot 0, which is 3m - 3 edges long. Influence
+    travels one hop per round, so P* must sit more than q hops (strict) or
+    m hops (expected, where the cap is m) from every slot a real honest
+    party might occupy. m is the smallest even number of copies that does
+    so and is at least the round cap phase 1 needs, q (strict) or 2q
+    (expected); at m >= 6 P* is already more than m hops away.
     """
     if q < 1:
         raise ConfigError(f"round bound must be >= 1, got {q}")
     if variant == "strict":
         m = max(4, q + (q % 2))
-        while _best_far_slot(3 * m)[1] <= q:
+        while (3 * m - 3) // 2 <= q:
             m += 2
     elif variant == "expected":
         m = max(6, 2 * q)
-        while _best_far_slot(3 * m)[1] <= m:
-            m += 2
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    return m
-
-
-@lru_cache(maxsize=128)
-def attack_geometry(q: int, variant: str) -> tuple[int, int, int]:
-    """Phase-1 ring for a round budget q: copies m, far slot P* and P*'s
-    distance from the honest window."""
-    m = attack_ring_size(q, variant)
-    pstar, dist = _best_far_slot(3 * m)
-    return m, pstar, dist
+    return m, (3 * m + 3) // 2, (3 * m - 3) // 2
 
 
 @dataclass
@@ -258,6 +244,12 @@ def phase1_strict(spec3: ProtocolSpec, seed: int) -> AttackPhase1Result:
     return phase1
 
 
+def require_strict(spec: ProtocolSpec) -> None:
+    """Refuse a strict attack on a protocol without a strict round bound."""
+    if not spec.round_bound.strict:
+        raise ConfigError("strict attack needs a strict-round protocol")
+
+
 def require_iterations(z: int) -> None:
     """Refuse an expected-variant phase 1 of fewer than one iteration."""
     if z < 1:
@@ -276,24 +268,14 @@ def phase1_expected(spec3: ProtocolSpec, q_expected: int, z: int, seed: int) -> 
     return _phase1(spec3, "expected", q_expected, z, seed)
 
 
-def honest_slot_map(corrupted: frozenset[int]) -> dict[int, int]:
-    """Which ring slot each real honest party occupies, per corrupted set.
-
-    Honest parties always land on adjacent slots whose roles match their own,
-    inside the fixed window near copy 1.
-    """
-    table = {
-        frozenset({2}): {0: 0, 1: 1},
-        frozenset({0}): {1: 1, 2: 2},
-        frozenset({1}): {2: 2, 0: 3},
-        frozenset({0, 1}): {2: 2},
-        frozenset({1, 2}): {0: 0},
-        frozenset({0, 2}): {1: 1},
-    }
-    key = frozenset(corrupted)
-    if key not in table:
+def honest_slots(corrupted: frozenset[int], copy: int = 1) -> dict[int, int]:
+    """Which ring slot each real honest party occupies: adjacent slots of
+    copy `copy` whose roles match the parties' own, starting at the honest
+    role whose predecessor role is corrupted."""
+    if not frozenset() < corrupted < frozenset(range(3)):
         raise ConfigError(f"corrupted set {sorted(corrupted)} not a proper subset of 3 parties")
-    return table[key]
+    start = min(h for h in range(3) if h not in corrupted and (h - 1) % 3 in corrupted)
+    return {(start + i) % 3: 3 * (copy - 1) + start + i for i in range(3 - len(corrupted))}
 
 
 # a VirtualRing's light cone: its slots by lag, and per lag the out-of-order slots
@@ -482,8 +464,7 @@ class NeighborEmbeddingAdversary(RingBridge):
         if not 1 <= j <= m:
             raise ConfigError("copy index j out of range")
         self.j = j
-        ring = _ring_network(spec3, m)
-        super().__init__(ring, {0: ring.slot_of(0, j), 1: ring.slot_of(1, j)})
+        super().__init__(_ring_network(spec3, m), honest_slots(frozenset({2}), j))
 
     def describe(self) -> str:
         return f"embed[j={self.j},m={self.ring.m}]"
@@ -517,7 +498,7 @@ class AttackAdversary(RingBridge):
         if phase1.aborted:
             raise ConfigError("phase 1 aborted; no value to force")
         self.phase1 = phase1
-        super().__init__(phase1.ring, honest_slot_map(frozenset(corrupted)))
+        super().__init__(phase1.ring, honest_slots(corrupted))
 
     def describe(self) -> str:
         return f"ring-attack[corrupt={sorted(self.corrupted)},m={self.phase1.m}]"
@@ -729,8 +710,7 @@ def attack_n_party(spec: ProtocolSpec, t: int, corrupted: Sequence[int], seed: i
     partition = partition_to_three(spec.n, t, corrupted)
     spec3 = three_party_form(spec, partition)
     if variant == "strict":
-        if not spec.round_bound.strict:
-            raise ConfigError("strict attack needs a strict-round protocol")
+        require_strict(spec)
         phase1 = phase1_strict(spec3, seed)
     elif variant == "expected":
         if q_expected is None:

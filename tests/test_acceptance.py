@@ -13,17 +13,16 @@ from fractions import Fraction
 from conftest import ACCEPTANCE_LINES
 from support import ByteSpewerProgram, emulate_ring, node_view, sample_w, tuned_halt_probability
 
-from ringbreak.cli import main
+from ringbreak.cli import main, run_config
 from ringbreak.coinflip import bias_attack, verify_no_nontrivial_bias
 from ringbreak.compiler import (
     always_abort_adversary,
     coin_abort_adversary,
     compare_real_ideal,
-    enumerate_decisions,
     never_abort_adversary,
     wrap_dominated,
 )
-from ringbreak.core import BOT, JointInput, RUNNING, derive_seed
+from ringbreak.core import JointInput, RUNNING, derive_seed
 from ringbreak.dominance import (
     FunctionTable,
     classify,
@@ -39,9 +38,8 @@ from ringbreak.dominance import (
 from ringbreak.netsim import run_with_adversary
 from ringbreak.ring import (
     RingNetwork,
-    _best_far_slot,
+    attack_geometry,
     attack_n_party,
-    attack_ring_size,
     embedding_family,
     phase1_expected,
     ring_distance,
@@ -63,9 +61,9 @@ def test_c01_ring_locality_is_exact():
     t0 = time.time()
     spec = make_spec("echo_xor:2", 3)
     assert spec.q == 3
-    m = 4
+    m, pstar, _ = attack_geometry(spec.q, "strict")
+    assert m == 4
     ring = RingNetwork(spec, m)
-    pstar, _ = _best_far_slot(ring.size)
     mutants = [v for v in range(ring.size)
                if ring_distance(ring.size, pstar, v) > m]
     assert mutants  # the window slots sit 5 and 6 hops away on a 12-ring
@@ -143,7 +141,7 @@ def test_c04_expected_attack_abort_probability():
     t0 = time.time()
     # tuned so one capped offline attempt fails with probability exactly 1/2:
     # cap m rounds = m+1 step calls, so (1-p)^(m+1) = 1/2
-    m = attack_ring_size(3, "expected")
+    m = attack_geometry(3, "expected")[0]
     p = tuned_halt_probability(m + 1)
     assert m == 6 and abs((1.0 - p) ** (m + 1) - 0.5) < 1e-12
     spec = make_spec("geom_halt:%.17g" % p, 3)
@@ -242,19 +240,14 @@ def test_c08_wrapper_full_security():
     t0 = time.time()
     f = threshold_table(9, 3)
     wrapped = wrap_dominated(f, 9, 3)
-    from itertools import combinations
+    # compile's exhaustive sweep over every coalition and decision
     no_bot = True
     abort_forces = True
     for inputs in ([0] * 9, [0, 1, 0, 1, 0, 1, 0, 1, 0]):
-        for size in range(1, wrapped.t2 + 1):
-            for coalition in combinations(range(9), size):
-                for dec in enumerate_decisions(wrapped, coalition):
-                    rec = wrapped.run_decision(inputs, coalition, dec)
-                    if any(o is BOT for o in rec.honest_outputs):
-                        no_bot = False
-                    if dec.abort and any(o != wrapped.y_star
-                                         for o in rec.honest_outputs):
-                        abort_forces = False
+        report, _code, _csv = run_config("compile", {"builtin": "thresh:3:9", "t": 3,
+                                                     "inputs": inputs})
+        no_bot = no_bot and report["no_bot"]
+        abort_forces = abort_forces and report["abort_forces_y_star"]
     inputs = [0, 1, 0, 1, 0, 1, 0, 1, 0]
     exact_ok = True
     for adv in (never_abort_adversary((6, 7, 8), {6: 1, 7: 0, 8: 1}),

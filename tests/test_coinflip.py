@@ -19,7 +19,7 @@ from ringbreak.coinflip import (
     verify_no_nontrivial_bias,
 )
 from ringbreak.core import ConfigError, derive_seed
-from ringbreak.ring import attack_ring_size, phase1_strict
+from ringbreak.ring import attack_geometry, phase1_strict
 from ringbreak.zoo import make_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -215,7 +215,7 @@ class TestVerdict:
         assert v.distance == 0.5
         assert 0 < v.bound < 0.5
         assert v.holds is True and not v.inconclusive
-        assert v.m == attack_ring_size(spec.q, "strict")
+        assert v.m == attack_geometry(spec.q, "strict")[0]
 
     def test_fair_coin_verdict_shape(self):
         v = verify_no_nontrivial_bias(make_spec("fair_coin", 3), kappa=6,

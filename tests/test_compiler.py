@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from ringbreak import compiler
+from ringbreak.cli import run_config
 from ringbreak.compiler import (
     HybridAdversary,
     IdealDecision,
@@ -192,15 +193,11 @@ class TestEnumerationAndSweep:
         assert len(enumerate_decisions(w, [4, 5])) == 5     # 4 subs + abort
 
     def test_no_honest_bot_anywhere(self):
-        w = wrap_dominated(threshold_table(6, 2), 6, 2)
-        inputs = [0, 1, 0, 1, 0, 1]
-        for size in range(1, w.t2 + 1):
-            for coalition in combinations(range(6), size):
-                for dec in enumerate_decisions(w, coalition):
-                    rec = w.run_decision(inputs, coalition, dec)
-                    assert BOT not in rec.honest_outputs
-                    if dec.abort:
-                        assert set(rec.honest_outputs) == {w.y_star}
+        # compile sweeps every coalition up to t2 and every decision
+        report, _code, _csv = run_config("compile", {"builtin": "thresh:2:6", "t": 2,
+                                                     "inputs": [0, 1, 0, 1, 0, 1]})
+        assert report["no_bot"] is True
+        assert report["abort_forces_y_star"] is True
 
 
 class TestForcingInputs:

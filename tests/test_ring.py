@@ -29,16 +29,14 @@ from ringbreak.ring import (
     RingSlotProgram,
     SampledRingInput,
     VirtualRing,
-    _best_far_slot,
     _bundle,
     _lag_layers,
     _unbundle,
     attack_geometry,
     attack_n_party,
-    attack_ring_size,
     embedding_family,
     fuse_parties,
-    honest_slot_map,
+    honest_slots,
     partition_to_three,
     phase1_expected,
     phase1_strict,
@@ -89,13 +87,35 @@ def ring_bits_w(ring, bits):
     ))
 
 
+# the six placements of the real honest parties in the window near copy 1
+HONEST_SLOT_TABLE = {
+    frozenset({2}): {0: 0, 1: 1},
+    frozenset({0}): {1: 1, 2: 2},
+    frozenset({1}): {2: 2, 0: 3},
+    frozenset({0, 1}): {2: 2},
+    frozenset({1, 2}): {0: 0},
+    frozenset({0, 2}): {1: 1},
+}
+
+
+def far_slot_scan(size):
+    """The lowest slot farthest from the honest window, and that distance."""
+    best_slot, best_d = 0, -1
+    for s in range(size):
+        d = min(ring_distance(size, s, h) for h in HONEST_WINDOW)
+        if d > best_d:
+            best_slot, best_d = s, d
+    return best_slot, best_d
+
+
 class TestGeometry:
     def test_slot_layout_m2(self):
         ring = RingNetwork(make_xor_exchange(3), 2)
         assert ring.size == 6
         assert [s % 3 for s in range(6)] == [0, 1, 2, 0, 1, 2]
         assert [s // 3 + 1 for s in range(6)] == [1, 1, 1, 2, 2, 2]
-        assert ring.slot_of(2, 1) == 2 and ring.slot_of(0, 2) == 3
+        # honest {2, 0}: C1 then A2
+        assert honest_slots(frozenset({1})) == {2: 2, 0: 3}
 
     def test_ring_distance(self):
         assert ring_distance(30, 0, 15) == 15
@@ -105,35 +125,40 @@ class TestGeometry:
     def test_same_role_copies_distance(self):
         # copies of the same role sit 3 hops per copy apart, shorter way round wins
         ring = RingNetwork(make_xor_exchange(3), 10)
-        a1 = ring.slot_of(0, 1)
-        assert ring_distance(ring.size, a1, ring.slot_of(0, 6)) == 15
-        assert ring_distance(ring.size, a1, ring.slot_of(0, 5)) == 12
+        a1 = honest_slots(frozenset({2}), 1)[0]
+        assert ring_distance(ring.size, a1, honest_slots(frozenset({2}), 6)[0]) == 15
+        assert ring_distance(ring.size, a1, honest_slots(frozenset({2}), 5)[0]) == 12
 
     def test_best_far_slot_small_rings(self):
-        # size 12: slots {7} at distance 4 from the window {0,1,2,3}
-        assert _best_far_slot(12) == (7, 4)
-        # size 18: slot 10 is 7 hops from slot 3 and 8 from slot 0
-        assert _best_far_slot(18) == (10, 7)
+        # m=4, size 12: slot 7 at distance 4 from the window {0,1,2,3}
+        assert attack_geometry(1, "strict") == (4, 7, 4)
+        # m=6, size 18: slot 10 is 7 hops from slot 3 and 8 from slot 0
+        assert attack_geometry(6, "strict") == (6, 10, 7)
+        assert attack_geometry(3, "expected") == (6, 10, 7)
 
     def test_best_far_slot_matches_the_scan(self):
-        def scan(size):
-            best_slot, best_d = 0, -1
-            for s in range(size):
-                d = min(ring_distance(size, s, h) for h in HONEST_WINDOW)
-                if d > best_d:
-                    best_slot, best_d = s, d
-            return best_slot, best_d
-
-        for m in range(2, 300):
-            assert _best_far_slot(3 * m) == scan(3 * m), m
+        for variant in ("strict", "expected"):
+            for q in range(1, 65):
+                m, pstar, dist = attack_geometry(q, variant)
+                assert (pstar, dist) == far_slot_scan(3 * m), (q, variant)
 
     def test_attack_ring_size_clears_budget(self):
-        for q in range(1, 12):
-            m = attack_ring_size(q, "strict")
-            assert _best_far_slot(3 * m)[1] > q
-        for q in range(1, 8):
-            m = attack_ring_size(q, "expected")
-            assert _best_far_slot(3 * m)[1] > m
+        # m is the smallest even number of copies that covers phase 1's round
+        # cap (q strict, 2q expected) and puts P* beyond the budget (q strict,
+        # the cap m expected)
+        def smallest(cap, budget):
+            return next(m for m in range(2, 1000, 2)
+                        if m >= cap and far_slot_scan(3 * m)[1] > budget(m))
+
+        for q in range(1, 65):
+            assert attack_geometry(q, "strict")[0] == smallest(q, lambda m: q), q
+            assert attack_geometry(q, "expected")[0] == smallest(2 * q, lambda m: m), q
+
+    def test_geometry_refusals(self):
+        with pytest.raises(ConfigError, match="round bound must be >= 1, got 0"):
+            attack_geometry(0, "strict")
+        with pytest.raises(ConfigError, match="unknown variant 'loose'"):
+            attack_geometry(3, "loose")
 
     def test_needs_two_copies(self):
         with pytest.raises(ConfigError):
@@ -234,18 +259,26 @@ class TestPhase1:
 
 class TestHonestSlotMap:
     def test_all_six_corrupted_sets(self):
-        for corrupted in ({2}, {0}, {1}, {0, 1}, {1, 2}, {0, 2}):
-            mapping = honest_slot_map(frozenset(corrupted))
+        for corrupted, table_row in HONEST_SLOT_TABLE.items():
+            mapping = honest_slots(corrupted)
+            assert mapping == table_row
             assert set(mapping) == {0, 1, 2} - corrupted
             for party, slot in mapping.items():
                 assert slot % 3 == party      # role-aligned placement
                 assert slot in HONEST_WINDOW
 
+    def test_copies_shift_by_three_slots(self):
+        for corrupted, table_row in HONEST_SLOT_TABLE.items():
+            for copy in range(1, 6):
+                assert honest_slots(corrupted, copy) == \
+                    {h: 3 * (copy - 1) + slot for h, slot in table_row.items()}
+
     def test_rejects_degenerate_sets(self):
+        for corrupted in (frozenset(), frozenset({0, 1, 2})):
+            with pytest.raises(ConfigError, match="not a proper subset of 3 parties"):
+                honest_slots(corrupted)
         with pytest.raises(ConfigError):
-            honest_slot_map(frozenset())
-        with pytest.raises(ConfigError):
-            honest_slot_map(frozenset({0, 1, 2}))
+            honest_slots(frozenset({3}))
 
 
 class TestEmbedding:
@@ -283,7 +316,7 @@ class TestEmbedding:
         seed = 909
         full = emulate_ring(ring, w, rounds_cap=4 * spec.q, seed=seed, record=True)
 
-        e_a, e_b = ring.slot_of(0, j), ring.slot_of(1, j)
+        e_a, e_b = 3 * (j - 1), 3 * (j - 1) + 1
         adv = FixedRingEmbedding(spec, m, j, w, seed)
         # party 2 is corrupted: the adversary never reads its entry
         joint = JointInput((w[e_a], w[e_b], w[e_b + 1]))
@@ -311,6 +344,12 @@ class TestEmbedding:
         assert [a.j for a in fam] == [1, 2, 3, 4, 5]
         with pytest.raises(ConfigError):
             NeighborEmbeddingAdversary(make_xor_exchange(3), 5, 6)
+
+    def test_family_sits_on_a_j_and_b_j(self):
+        for m in (2, 5, 9):
+            for adv in embedding_family(make_xor_exchange(3), m):
+                assert adv.external == {3 * (adv.j - 1): 0, 3 * (adv.j - 1) + 1: 1}
+                assert adv.corrupted == frozenset({2})
 
     def test_xor_exchange_boundary_inconsistency_rate(self):
         """xor_exchange honest parties disagree exactly when the two virtual
