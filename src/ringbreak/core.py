@@ -256,8 +256,6 @@ class PartyProgram:
     Outcome never changes.
     """
 
-    role_id: str = "?"
-
     def init(self, input_bytes: bytes, coins: CoinStream) -> Any:
         raise NotImplementedError
 

@@ -2,8 +2,10 @@
 
 A ring run chains m copies of the roles A,B,C of a 3-party protocol around a
 cycle of 3m slots (A1 B1 C1 A2 ... Cm). Each slot runs its role's unmodified
-program with its neighbor ids relabeled, so locally every slot sees a
-perfectly ordinary 3-party execution. Information travels one hop per round,
+program, and a slot's two neighbours hold exactly the two other roles, so
+locally every slot sees a perfectly ordinary 3-party execution: the program
+addresses a neighbour by its role, and `RingNetwork.neighbours` turns that
+local id into the neighbour's slot. Information travels one hop per round,
 so any slot's view over r rounds is determined by the slots within distance r.
 The simulator (`VirtualRing`) runs on that rule: it is told which slots are
 observed, lets a slot at distance d from them run d steps behind, and never
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .core import (
     INPUT_STRIDE,
@@ -41,7 +43,6 @@ from .core import (
     PartyProgram,
     ProtocolSpec,
     SpecViolation,
-    TopologyViolation,
     coalition_size,
     derive_seed,
 )
@@ -59,45 +60,6 @@ def ring_distance(size: int, u: int, v: int) -> int:
     """Minimal number of ring edges between two slots."""
     d = abs(u - v) % size
     return min(d, size - d)
-
-
-class RingSlotProgram(PartyProgram):
-    """Wraps one role's 3-party program for a ring slot.
-
-    Translates between the program's local party ids {0,1,2} and the global
-    slot indices of the two ring neighbors. The wrapped program never learns
-    it is on a ring.
-    """
-
-    def __init__(self, base: PartyProgram, slot: int, size: int):
-        role = slot % 3
-        self.base = base
-        self.slot = slot
-        self.size = size
-        # each neighbour slot <-> the local id of the role it holds
-        self.to_local = {(slot - 1) % size: (role - 1) % 3, (slot + 1) % size: (role + 1) % 3}
-        self.to_slot = {local: s for s, local in self.to_local.items()}
-        self.role_id = f"s{slot}:{base.role_id}"
-        # a slot starts and halts exactly as its role program does
-        self.init = base.init
-        self.finished = base.finished
-
-    def step(self, state, round_no, inbox):
-        to_local, to_slot = self.to_local, self.to_slot
-        local = {}
-        try:
-            for src, payload in inbox.items():
-                local[to_local[src]] = payload
-        except KeyError:
-            raise TopologyViolation(f"slot {self.slot} received from non-neighbor {src}") from None
-        state, outbox = self.base.step(state, round_no, local)
-        out = {}
-        try:
-            for dst, payload in outbox.items():
-                out[to_slot[dst]] = payload
-        except KeyError:
-            raise SpecViolation(f"slot {self.slot} sent to unmapped local id {dst}") from None
-        return state, out
 
 
 @dataclass(frozen=True)
@@ -118,10 +80,17 @@ class RingNetwork:
         return 3 * self.m
 
     @cached_property
-    def slot_programs(self) -> tuple[RingSlotProgram, ...]:
-        """Each slot's role program, wrapped once per ring."""
-        return tuple(RingSlotProgram(self.spec3.programs[s % 3], s, self.size)
-                     for s in range(self.size))
+    def slot_programs(self) -> tuple[PartyProgram, ...]:
+        """Each slot's role program, as it is: slot s runs role s % 3."""
+        return tuple(self.spec3.programs[s % 3] for s in range(self.size))
+
+    @cached_property
+    def neighbours(self) -> tuple[dict[int, int], ...]:
+        """Per slot, each local id its role program sends to (the role of a
+        neighbour) -> that neighbour's slot. The ring's one id translation."""
+        size = self.size
+        return tuple({(s - 1) % 3: (s - 1) % size, (s + 1) % 3: (s + 1) % size}
+                     for s in range(size))
 
     @cached_property
     def zeros_w(self) -> JointInput:
@@ -313,14 +282,20 @@ class VirtualRing:
     """Adversary-internal emulation of the ring minus the real parties'
     slots, run only as far as the observed slots can see.
 
-    `external` maps the real parties' slots to their party ids: messages from
-    the real parties are fed in as sends from those slots, and the sends the
-    simulated slots address to them are returned for the adversary to deliver
-    over real channels. `w` and `seed` give every slot's input and coins (the
-    external slots' entries are not read; the slots of a coin-free protocol
-    all get its `no_coins`). `cone` is the `_light_cone` of the
-    external slots; by default the observed slots are their simulated
-    neighbours.
+    `external` holds the real parties' slots; the party on slot s is s % 3.
+    Messages from the real parties are fed in as sends from those slots, and
+    the sends the simulated slots address to them are returned for the
+    adversary to deliver over real channels. `w` and `seed` give every
+    slot's input and coins (the external slots' entries are not read; the
+    slots of a coin-free protocol all get its `no_coins`). `cone` is the
+    `_light_cone` of the external slots; by default the observed slots are
+    their simulated neighbours.
+
+    Every slot runs its role program as it is, in the program's own ids: an
+    inbox is keyed by each sender's role (src % 3), which is the receiver's
+    local id for that neighbour, and each send's local id goes through
+    `RingNetwork.neighbours` to the receiving slot. A local id that names no
+    neighbour (or is not a plain int) is refused.
 
     Lag rule: a slot at ring distance d from the nearest observed slot runs d
     steps behind them, so in real round r it takes its step r - d. Each real
@@ -330,22 +305,24 @@ class VirtualRing:
     simulated senders in ascending slot order, then the fed real sends. Steps
     a slot would take after r - d cannot reach an observed slot by round r,
     and are not run. A slot's program starts on its first step. Every
-    computed send is route-checked; a send in a step that is not computed is
-    never checked, so a protocol that breaks the route or size rules only
-    outside the light cone runs on where the full ring would raise.
+    computed send is route-checked on slot ids; a send in a step that is not
+    computed is never checked, so a protocol that breaks the route or size
+    rules only outside the light cone runs on where the full ring would raise.
     """
 
     def __init__(self, ring: RingNetwork, w: JointInput | SampledRingInput, seed: int,
-                 external: dict[int, int], cone: Optional[LightCone] = None):
+                 external: Collection[int], cone: Optional[LightCone] = None):
         self.w = w
         self.seed = seed
-        self.external = external  # slot -> real party id
+        self.external = external
         self.layers, self.out_of_order = _light_cone(ring.size, external) if cone is None else cone
         self.programs = ring.slot_programs  # one per slot, indexed by slot
+        self.neighbours = ring.neighbours
         self.no_coins = ring.spec3.no_coins
         self.states: dict[int, object] = {}
         self.live: list[list[int]] = [[] for _ in self.layers]  # per lag, unhalted slots
-        self.inboxes: dict[int, dict[int, dict[int, bytes]]] = {}  # step -> receiver -> inbox
+        # step -> receiver slot -> inbox keyed by sender role
+        self.inboxes: dict[int, dict[int, dict[int, bytes]]] = {}
         self._start(0)
 
     def _start(self, lag: int) -> None:
@@ -364,7 +341,8 @@ class VirtualRing:
 
     def step(self, round_no: int, fed: Sequence[Send]) -> list[Send]:
         programs, states, inboxes, live_by_lag = self.programs, self.states, self.inboxes, self.live
-        size, external, last = len(programs), self.external, len(self.layers) - 1
+        neighbours, external, last = self.neighbours, self.external, len(self.layers) - 1
+        size = len(programs)
         boundary: list[Send] = []
         for lag in range(min(round_no - 1, last), -1, -1):
             k = round_no - lag
@@ -381,18 +359,22 @@ class VirtualRing:
             for s in self.out_of_order[lag]:
                 box = boxes.get(s)
                 if box is not None and len(box) > 1:
-                    boxes[s] = dict(sorted(box.items()))
+                    slot_of = neighbours[s]
+                    boxes[s] = dict(sorted(box.items(), key=lambda item: slot_of[item[0]]))
             if lag == 0:
-                deliver(fed, boxes)
+                for src, dst, payload in fed:
+                    boxes.setdefault(dst, {})[src % 3] = payload
             sends = step_parties(programs, states, live, k, boxes)
             nxt = inboxes.setdefault(k + 1, {}) if sends else None
-            for send in sends:
-                src, dst, payload = send
+            for src, local, payload in sends:
+                dst = neighbours[src].get(local) if type(local) is int else None
+                if dst is None:
+                    raise SpecViolation(f"slot {src} sent to unmapped local id {local}")
                 _route_check(size, src, dst, payload)
                 if dst in external:
-                    boundary.append(send)
+                    boundary.append((src, dst, payload))
                 else:
-                    nxt.setdefault(dst, {})[src] = payload
+                    nxt.setdefault(dst, {})[src % 3] = payload
             still_running = []
             for s in live:
                 if programs[s].finished(states[s]) is None:
@@ -404,30 +386,25 @@ class VirtualRing:
 class RingBridge(AdversaryStrategy):
     """Real honest parties in adjacent slots of a ring the adversary simulates.
 
-    `slots` maps each honest party to its slot; the other roles are corrupted.
-    The remaining slots run in a VirtualRing stepped in each real round the
-    engine steps the adversary in (none after the honest parties' last step
-    or past the engine's round cap), and each honest party's channel to a
-    corrupted role bridges to the neighboring virtual slot. Subclasses
-    choose the ring input and seed.
+    `slots` maps each honest party to its slot, which holds the party's own
+    role; the other roles are corrupted. The remaining slots run in a
+    VirtualRing stepped in each real round the engine steps the adversary in
+    (none after the honest parties' last step or past the engine's round
+    cap), and each honest party's channel to a corrupted role bridges to its
+    neighbouring virtual slot of that role. Subclasses choose the ring input
+    and seed.
     """
 
     def __init__(self, ring: RingNetwork, slots: dict[int, int]):
+        if any(slot % 3 != h for h, slot in slots.items()):
+            raise ConfigError("honest window mapping broke role alignment")
         self.ring = ring
         self.corrupted = frozenset(range(3)) - frozenset(slots)
-        self.external = {slot: h for h, slot in slots.items()}
-        size = ring.size
+        self.external = frozenset(slots.values())
         # real edge (honest party, corrupted role) -> (its slot, virtual slot)
-        self.bridge: dict[tuple[int, int], tuple[int, int]] = {}
-        for slot, h in self.external.items():
-            for v in ((slot - 1) % size, (slot + 1) % size):
-                if v in self.external:
-                    continue
-                role = v % 3
-                if role not in self.corrupted:
-                    raise ConfigError("honest window mapping broke role alignment")
-                self.bridge[(h, role)] = (slot, v)
-        self.cone = _light_cone(size, self.external)
+        self.bridge = {(h, c): (slot, ring.neighbours[slot][c])
+                       for h, slot in slots.items() for c in self.corrupted}
+        self.cone = _light_cone(ring.size, self.external)
 
     def ring_input(self, ctx: AdversaryContext) -> tuple[JointInput | SampledRingInput, int]:
         """Ring input w and execution seed of the simulated slots."""
@@ -439,7 +416,7 @@ class RingBridge(AdversaryStrategy):
 
     def step(self, vring: VirtualRing, round_no: int, inbound):
         # traffic between corrupted parties has no bridge; nothing to simulate
-        bridge, external = self.bridge, self.external
+        bridge = self.bridge
         fed = []
         for edge, payload in inbound.items():
             if edge in bridge:
@@ -447,7 +424,7 @@ class RingBridge(AdversaryStrategy):
                 fed.append((real_slot, vslot, payload))
         outbound = {}
         for vslot, ext_slot, payload in vring.step(round_no, fed):
-            outbound[(vslot % 3, external[ext_slot])] = payload
+            outbound[(vslot % 3, ext_slot % 3)] = payload
         return vring, outbound
 
 
@@ -575,7 +552,6 @@ class FusedProgram(PartyProgram):
         self.gid = gid
         self.members = partition.groups[gid]
         self.group_of = partition.group_of
-        self.role_id = f"fused{gid}({','.join(map(str, self.members))})"
 
     def init(self, input_bytes, coins):
         states = []

@@ -32,8 +32,6 @@ def _bit(input_bytes: bytes) -> int:
 class ConstProgram(PartyProgram):
     """Outputs the constant c after one round, sends nothing."""
 
-    role_id = "const"
-
     def __init__(self, n: int, me: int, c: int):
         self.n = n
         self.me = me
@@ -53,8 +51,6 @@ class ConstProgram(PartyProgram):
 
 class ExchangeProgram(PartyProgram):
     """One full pairwise bit exchange; output = op over all n bits."""
-
-    role_id = "exchange"
 
     def __init__(self, n: int, me: int, op: str):
         self.n = n
@@ -87,8 +83,6 @@ class ExchangeProgram(PartyProgram):
 class FairCoinProgram(ExchangeProgram):
     """xor_exchange over fresh coin bits instead of inputs."""
 
-    role_id = "coin"
-
     def init(self, input_bytes, coins):
         return ("init", coins.bit(0))
 
@@ -100,8 +94,6 @@ class EchoXorProgram(PartyProgram):
     belief about party j flips only when every received echo of j disagrees
     with the value held so far, which damps single-channel equivocation.
     """
-
-    role_id = "echo_xor"
 
     def __init__(self, n: int, me: int, echoes: int):
         if echoes < 1:
@@ -160,8 +152,6 @@ class EchoXorProgram(PartyProgram):
 
 class GeomHaltProgram(PartyProgram):
     """Halts each round independently with probability p; sends nothing."""
-
-    role_id = "geom"
 
     def __init__(self, n: int, me: int, p: float):
         if not 0.0 < p <= 1.0:

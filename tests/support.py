@@ -1,10 +1,11 @@
 """Test oracles and fixtures that the library itself never uses.
 
 The full-ring reference run that the light-cone simulator is checked
-against, mutant and coin-revealing programs, test adversaries, input
-helpers, and the checks the planted-defect table reruns: the regime grid
-over classify and the wrapper, and the attack verdict's fixed counts. Test
-modules import them as `from support import ...`.
+against, with its own relabeling of role programs onto ring slots; mutant
+and coin-revealing programs, test adversaries, input helpers, and the checks
+the planted-defect table reruns: the regime grid over classify and the
+wrapper, and the attack verdict's fixed counts. Test modules import them as
+`from support import ...`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from ringbreak.core import (
     ProtocolSpec,
     RawInput,
     RoundBound,
+    SpecViolation,
+    TopologyViolation,
     coalition_size,
     outcome_repr,
 )
@@ -33,7 +36,7 @@ from ringbreak.netsim import (
     run_honest,
     step_parties,
 )
-from ringbreak.ring import RingNetwork, RingSlotProgram, SampledRingInput
+from ringbreak.ring import RingNetwork, SampledRingInput
 from ringbreak.zoo import INPUT_BYTES, _uniform
 
 # Ring slots the real honest parties can occupy, over all corruption choices.
@@ -59,19 +62,56 @@ def sample_w(ring: RingNetwork, seed: int) -> JointInput:
     return JointInput(tuple(w[s] for s in range(ring.size)))
 
 
+class RelabeledSlot(PartyProgram):
+    """A role program on ring slot `slot`, for the full-ring references.
+
+    Translates between the program's local ids {0,1,2} and the slots of the
+    two ring neighbours with tables of its own, so a relabeling fault in the
+    simulator's `RingNetwork.neighbours` cannot hide in a comparison with
+    these references. Refuses a message from any other slot and a send to a
+    local id that names no neighbour (or is not a plain int).
+    """
+
+    def __init__(self, base: PartyProgram, slot: int, size: int):
+        role = slot % 3
+        self.base = base
+        self.slot = slot
+        self.to_local = {(slot - 1) % size: (role - 1) % 3, (slot + 1) % size: (role + 1) % 3}
+        self.to_slot = {local: s for s, local in self.to_local.items()}
+        self.init = base.init
+        self.finished = base.finished
+
+    def step(self, state, round_no, inbox):
+        local = {}
+        for src, payload in inbox.items():
+            if src not in self.to_local:
+                raise TopologyViolation(f"slot {self.slot} received from non-neighbor {src}")
+            local[self.to_local[src]] = payload
+        state, outbox = self.base.step(state, round_no, local)
+        out = {}
+        for dst, payload in outbox.items():
+            if type(dst) is not int or dst not in self.to_slot:
+                raise SpecViolation(f"slot {self.slot} sent to unmapped local id {dst}")
+            out[self.to_slot[dst]] = payload
+        return state, out
+
+
+def slot_programs(ring: RingNetwork,
+                  overrides: Optional[dict[int, PartyProgram]] = None) -> tuple[RelabeledSlot, ...]:
+    """Every slot's role program relabeled onto its slot; `overrides` maps a
+    slot to a role program (local ids, not slot ids) that replaces its own."""
+    overrides = overrides or {}
+    return tuple(RelabeledSlot(overrides.get(s, ring.spec3.programs[s % 3]), s, ring.size)
+                 for s in range(ring.size))
+
+
 def engine_spec(ring: RingNetwork,
                 overrides: Optional[dict[int, PartyProgram]] = None) -> ProtocolSpec:
-    """ProtocolSpec over all slots of the ring; `overrides` maps a slot to
-    a role program (local ids, not slot ids) that replaces the slot's own."""
-    overrides = overrides or {}
-    programs = tuple(
-        RingSlotProgram(overrides[s], s, ring.size) if s in overrides else ring.slot_programs[s]
-        for s in range(ring.size)
-    )
+    """ProtocolSpec over all slots of the ring, each running `slot_programs`."""
     domains = tuple(ring.spec3.domains[s % 3] for s in range(ring.size))
     return ProtocolSpec(
         name=f"ring({ring.spec3.name},m={ring.m})",
-        programs=programs,
+        programs=slot_programs(ring, overrides),
         round_bound=ring.spec3.round_bound,
         domains=domains,
     )
@@ -85,7 +125,8 @@ def emulate_ring(ring: RingNetwork, w: JointInput, rounds_cap: int, seed: int, *
     Slots that have not produced an Outcome by the cap are reported RUNNING;
     passing the cap leaves the declared round bound unenforced, because rings
     are the attack surface, not the protocol under test. Each slot reaches
-    only its two ring neighbours: `RingSlotProgram` refuses any other edge.
+    only its two ring neighbours: the reference's own `RelabeledSlot` refuses
+    any other edge.
     Every slot is stepped; this is the full-ring reference that the light
     cones `VirtualRing` runs are checked against.
     """
@@ -144,7 +185,6 @@ class EquivocatorAdversary(AdversaryStrategy):
 class ByteSpewerProgram(PartyProgram):
     """Chatter mutant for locality experiments: random bytes every round, never halts."""
 
-    role_id = "spew"
     WIDTH = 24
 
     def __init__(self, n: int, me: int):
@@ -169,8 +209,6 @@ class ByteSpewerProgram(PartyProgram):
 class CoinFlashProgram(PartyProgram):
     """Outputs its own first coin bit after one silent round (test vehicle)."""
 
-    role_id = "coinflash"
-
     def __init__(self, n: int, me: int):
         self.n = n
         self.me = me
@@ -194,8 +232,6 @@ def make_coin_flash(n: int) -> ProtocolSpec:
 
 class OneSendProgram(PartyProgram):
     """Topology mutant: sends b"x" to `dst` in round 1, then halts with 0."""
-
-    role_id = "one-send"
 
     def __init__(self, dst: int):
         self.dst = dst

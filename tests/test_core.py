@@ -227,8 +227,6 @@ class TestJointInput:
 class _OutcomeDrifter(PartyProgram):
     """Deliberately broken: keeps sending and changes its answer after halting."""
 
-    role_id = "drifter"
-
     def init(self, input_bytes, coins):
         return 0
 
@@ -242,8 +240,6 @@ class _OutcomeDrifter(PartyProgram):
 
 
 class _PostHaltSender(PartyProgram):
-    role_id = "posthalt"
-
     def __init__(self, me: int):
         self.me = me
 

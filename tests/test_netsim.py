@@ -97,8 +97,6 @@ class TestDeliveryTiming:
 class _Laggard(PartyProgram):
     """Finishes one round after the declared strict bound."""
 
-    role_id = "laggard"
-
     def __init__(self, rounds):
         self.rounds = rounds
 
@@ -114,8 +112,6 @@ class _Laggard(PartyProgram):
 
 class _OneShot(PartyProgram):
     """Puts `payload` in its round-1 outbox to the other party, then halts."""
-
-    role_id = "one-shot"
 
     def __init__(self, me, payload):
         self.me = me

@@ -10,6 +10,10 @@ with it:
 
     PYTHONPATH=src python tests/test_report_digests.py [--rewrite] [--jobs N]
 
+The tests also hand every report to `report_checks.check`, which re-derives
+its verdicts and exit code from its own numbers; a digest alone cannot tell
+a report whose verdict and bytes changed together.
+
 Without --rewrite the script only compares and prints the rows that moved
 (exit 1 if any did); with it, it also writes the new manifest. --jobs runs
 the experiments on N workers, whose reports must match the same rows.
@@ -25,6 +29,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from report_checks import check
 
 from ringbreak.cli import run_config
 from ringbreak.netsim import shutdown_pool
@@ -96,21 +101,36 @@ PIN_IDS = [f"{kind}-{cfg.get('protocol') or cfg.get('builtin')}-{cfg.get('seed',
            for kind, cfg in PINNED]
 
 
-def _row(kind: str, config: dict, jobs: int) -> dict:
+def _run(kind: str, config: dict, jobs: int) -> tuple[bytes, int]:
+    """The report's bytes and the exit code of one experiment."""
     # a JSON copy, as bench/run.py passes it
     report, code, _csv = run_config(kind, json.loads(json.dumps(config)), jobs=jobs)
-    return {"exit": code, "sha256": hashlib.sha256(render_report(report)).hexdigest()}
+    return render_report(report), code
+
+
+def _row(data: bytes, code: int) -> dict:
+    return {"exit": code, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _problems(data: bytes, code: int) -> list[str]:
+    return check(json.loads(data), code)
+
+
+def reports(workload: str, seed: int, jobs: int = 1) -> dict[str, tuple[bytes, int]]:
+    """`{"<workload>/<seed>/<name>": (report bytes, exit code)}` for one workload seed."""
+    return {f"{workload}/{seed}/{name}": _run(kind, config, jobs)
+            for name, kind, config in WORKLOADS.build(workload, seed)}
 
 
 def digests(workload: str, seed: int, jobs: int = 1) -> dict[str, dict]:
     """`{"<workload>/<seed>/<name>": {"exit", "sha256"}}` for one workload seed."""
-    return {f"{workload}/{seed}/{name}": _row(kind, config, jobs)
-            for name, kind, config in WORKLOADS.build(workload, seed)}
+    return {key: _row(*run) for key, run in reports(workload, seed, jobs).items()}
 
 
 def pin_digests(jobs: int = 1) -> dict[str, dict]:
     """`{"pins/<id>": {"exit", "sha256"}}` for every pinned config."""
-    return {f"pins/{pin}": _row(kind, cfg, jobs) for pin, (kind, cfg) in zip(PIN_IDS, PINNED)}
+    return {f"pins/{pin}": _row(*_run(kind, cfg, jobs))
+            for pin, (kind, cfg) in zip(PIN_IDS, PINNED)}
 
 
 def manifest() -> dict[str, dict]:
@@ -125,13 +145,17 @@ def _select(rows: dict[str, dict], workload: str, seed: int) -> dict[str, dict]:
 @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_benchmark_reports_keep_their_bytes(workload, seed):
-    assert digests(workload, seed) == _select(manifest(), workload, seed)
+    runs = reports(workload, seed)
+    assert {key: _row(*run) for key, run in runs.items()} == _select(manifest(), workload, seed)
+    assert [(key, problem) for key, run in runs.items() for problem in _problems(*run)] == []
 
 
 @pytest.mark.parametrize("pin,kind,cfg", [(p, k, c) for p, (k, c) in zip(PIN_IDS, PINNED)],
                          ids=PIN_IDS)
 def test_report_bytes_pinned(pin, kind, cfg):
-    assert _row(kind, cfg, 1) == manifest()[f"pins/{pin}"]
+    run = _run(kind, cfg, 1)
+    assert _row(*run) == manifest()[f"pins/{pin}"]
+    assert _problems(*run) == []
 
 
 def test_pin_ids_are_unique():

@@ -25,8 +25,8 @@ from ringbreak.netsim import MESSAGE_CAP, deliver, run_honest, run_with_adversar
 from ringbreak.ring import (
     AttackAdversary,
     NeighborEmbeddingAdversary,
+    RingBridge,
     RingNetwork,
-    RingSlotProgram,
     SampledRingInput,
     VirtualRing,
     _bundle,
@@ -51,11 +51,13 @@ from ringbreak.zoo import (
 from support import (
     HONEST_WINDOW,
     ByteSpewerProgram,
+    RelabeledSlot,
     emulate_ring,
     make_coin_flash,
     make_one_send,
     node_view,
     sample_w,
+    slot_programs,
     tuned_halt_probability,
     zeros,
 )
@@ -66,6 +68,36 @@ def bits_joint(spec, bits):
         JointEntry(bytes([b]) + bytes(spec.domains[i].length - 1), b"p/%d" % i)
         for i, b in enumerate(bits)
     ))
+
+
+class ZeroRingBridge(RingBridge):
+    """Real parties on `slots` of a ring on all-zero input, at seed 1."""
+
+    def ring_input(self, ctx):
+        return self.ring.zeros_w, 1
+
+
+class TrueSendProgram(PartyProgram):
+    """Roles 0 and 2 send b"x" to local id True on their first step, which
+    the engine refuses although True == 1; every role outputs 0 after its
+    second step, so the messages of step 1 are read."""
+
+    def __init__(self, me):
+        self.me = me
+
+    def init(self, input_bytes, coins):
+        return 0
+
+    def step(self, state, round_no, inbox):
+        return state + 1, {True: b"x"} if state == 0 and self.me != 1 else {}
+
+    def finished(self, state):
+        return b"\x00" if state >= 2 else None
+
+
+def true_sender_spec():
+    return ProtocolSpec("true_send", tuple(TrueSendProgram(i) for i in range(3)),
+                        RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
 
 
 class FixedRingEmbedding(NeighborEmbeddingAdversary):
@@ -207,17 +239,42 @@ class TestRingEmulation:
                               overrides={near: ByteSpewerProgram(3, near % 3)})
         assert node_view(base, 0) != node_view(mutant, 0)
 
-    def test_slot_refuses_a_non_neighbour_and_an_unmapped_local_id(self):
+    def test_reference_slot_refuses_a_non_neighbour(self):
         ring = RingNetwork(make_xor_exchange(3), 2)
-        slot = ring.slot_programs[1]  # role 1, between slots 0 and 2
+        slot = RelabeledSlot(ring.spec3.programs[1], 1, ring.size)  # between slots 0 and 2
         state = slot.init(bytes(8), CoinStream(1, b"x"))
         assert slot.step(state, 1, {0: b"\x01", 2: b"\x00"})[1] == {0: b"\x00", 2: b"\x00"}
         with pytest.raises(TopologyViolation, match="slot 1 received from non-neighbor 4"):
             slot.step(state, 1, {0: b"\x01", 4: b"\x00"})
+
+    def test_virtual_ring_refuses_an_unmapped_local_id(self):
         # a role program that sends to its own local id has no ring edge for it
-        self_send = RingSlotProgram(make_one_send(3, lambda i: i).programs[1], 1, ring.size)
+        ring = RingNetwork(make_one_send(3, lambda i: i), 2)
         with pytest.raises(SpecViolation, match="slot 1 sent to unmapped local id 1"):
-            self_send.step(self_send.init(bytes(8), CoinStream(1, b"x")), 1, {})
+            ring_module.run_honest(ring, ring.zeros_w, 1, 1, 1)
+
+    def test_phase1_refuses_a_local_id_that_is_not_an_int(self):
+        # True hashes as role 1's id, a neighbour of roles 0 and 2; the ring
+        # refuses it as the engine does. P* = slot 7 hears slots 6 and 8
+        spec = true_sender_spec()
+        with pytest.raises(TopologyViolation, match="no edge 0->True"):
+            run_honest(spec, zeros(spec), 1)
+        with pytest.raises(SpecViolation, match="slot 6 sent to unmapped local id True"):
+            phase1_strict(spec, 1)
+        with pytest.raises(SpecViolation, match="unmapped local id True"):
+            full_ring_phase1(spec, "strict", 2, 1, 1)
+
+    def test_bridge_refuses_a_local_id_that_is_not_an_int(self):
+        # party 1 is real; its simulated neighbours 0 and 2 send to True
+        spec = true_sender_spec()
+        bridge = ZeroRingBridge(RingNetwork(spec, 4), honest_slots(frozenset({0, 2})))
+        with pytest.raises(SpecViolation, match="slot 0 sent to unmapped local id True"):
+            run_with_adversary(spec, bridge, zeros(spec), 1)
+
+    def test_bridge_refuses_slots_off_their_roles(self):
+        ring = RingNetwork(make_xor_exchange(3), 4)
+        with pytest.raises(ConfigError, match="broke role alignment"):
+            ZeroRingBridge(ring, {0: 1, 1: 2})
 
 
 class TestPhase1:
@@ -348,7 +405,7 @@ class TestEmbedding:
     def test_family_sits_on_a_j_and_b_j(self):
         for m in (2, 5, 9):
             for adv in embedding_family(make_xor_exchange(3), m):
-                assert adv.external == {3 * (adv.j - 1): 0, 3 * (adv.j - 1) + 1: 1}
+                assert adv.external == {3 * (adv.j - 1), 3 * (adv.j - 1) + 1}
                 assert adv.corrupted == frozenset({2})
 
     def test_xor_exchange_boundary_inconsistency_rate(self):
@@ -552,11 +609,11 @@ class TestNPartyAttack:
 class FullVirtualRing:
     """Reference bridge simulator: steps every simulated slot once per real
     round, the way the ring itself runs, with no light cone (so `cone` is
-    not read)."""
+    not read), each slot relabeled by the reference's own `RelabeledSlot`."""
 
     def __init__(self, ring, entries, seed, external, cone=None):
         self.external = external
-        self.programs = {s: ring.slot_programs[s] for s in range(ring.size) if s not in external}
+        self.programs = {s: p for s, p in enumerate(slot_programs(ring)) if s not in external}
         self.states = {s: p.init(entries[s].input, entries[s].coins(seed))
                        for s, p in self.programs.items()}
         self.live = [s for s, p in self.programs.items() if p.finished(self.states[s]) is None]
@@ -584,14 +641,17 @@ def full_ring_phase1(spec3, variant, q, z, seed):
 
 
 def count_slot_steps(monkeypatch):
+    """Role-program steps that `ring` runs through the lockstep kernel from
+    now on: at n = 3 these are the VirtualRing's slot steps (at n >= 4 each
+    FusedProgram steps its members through it too)."""
     calls = [0]
-    real = RingSlotProgram.step
+    real = ring_module.step_parties
 
-    def counting(self, state, round_no, inbox):
-        calls[0] += 1
-        return real(self, state, round_no, inbox)
+    def counting(programs, states, live, round_no, inboxes):
+        calls[0] += len(live)
+        return real(programs, states, live, round_no, inboxes)
 
-    monkeypatch.setattr(RingSlotProgram, "step", counting)
+    monkeypatch.setattr(ring_module, "step_parties", counting)
     return calls
 
 
@@ -604,8 +664,6 @@ def spew_spec():
 class OversizeProgram(PartyProgram):
     """Two silent steps, then output 0; on step `loud` it sends its
     predecessor (local id me-1) one message over the engine's byte cap."""
-
-    role_id = "oversize"
 
     def __init__(self, me, loud):
         self.me, self.loud = me, loud
@@ -626,8 +684,6 @@ class OversizeProgram(PartyProgram):
 class InboxOrderProgram(PartyProgram):
     """Hashes its inbox in iteration order, sends the digest both ways, and
     outputs the digest of its third step: any change in inbox order shows."""
-
-    role_id = "order"
 
     def __init__(self, me):
         self.me = me
@@ -774,6 +830,16 @@ class TestLightCone:
         run_with_adversary(spec, adv, JointInput.sample(spec, 3), 3)
         assert calls[0] == steps
 
+    def test_small_attack_slot_steps(self, monkeypatch):
+        # work pin: phase 1, 20 online trials and the delta estimate's 400
+        # probe runs step 4864 virtual slots in all; a change that claims the
+        # same work keeps this count
+        from ringbreak.cli import run_config
+
+        calls = count_slot_steps(monkeypatch)
+        run_config("attack", {"protocol": "echo_xor:2", "n": 3, "t": 1, "trials": 20, "seed": 1})
+        assert calls[0] == 4864
+
     def test_oversize_message_in_pstar_cone_raises(self):
         # role 2 on slot 8 sits next to P* = slot 7 and oversteps the cap on
         # its first step, which P* hears on its second
@@ -808,7 +874,7 @@ class TestLightCone:
                                               for i in range(3)),
                             RoundBound("strict", 2), tuple(RawInput(8) for _ in range(3)))
         ring = RingNetwork(spec, 4)
-        vring = VirtualRing(ring, ring.zeros_w, 1, {3: 0, 4: 1})
+        vring = VirtualRing(ring, ring.zeros_w, 1, {3, 4})
         assert vring.step(1, ()) == []
         with pytest.raises(SpecViolation, match="message 1->0 exceeds"):
             vring.step(2, ())
